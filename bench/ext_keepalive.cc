@@ -5,14 +5,15 @@
 // where keeping warm VMs has more overhead than benefit." This bench quantifies
 // that tradeoff: Poisson arrivals at rates from the Azure-trace regimes (less
 // than half of all functions are invoked every hour; <10% every minute), a
-// 10-minute keep-alive window, and three miss paths. Reported per cell: mean
-// latency and the time-averaged host memory pinned by the warm VM.
+// 10-minute keep-alive window, and three miss paths, served by a one-function
+// HostScheduler. Reported per cell: mean latency and the time-averaged host
+// memory pinned by the warm VM.
 
 #include <cstdio>
 #include <iterator>
 
 #include "bench/bench_util.h"
-#include "src/runtime/keepalive.h"
+#include "src/runtime/host_scheduler.h"
 
 namespace faasnap {
 namespace bench {
@@ -34,11 +35,14 @@ void Run(int arrivals) {
   const RestoreMode miss_modes[] = {RestoreMode::kColdBoot, RestoreMode::kFirecracker,
                                     RestoreMode::kFaasnap};
 
-  // One seeded gap stream per arrival rate, shared by every function and miss
+  // One seeded arrival schedule per rate, shared by every function and miss
   // path: cells at a rate serve the identical offered schedule.
-  std::vector<std::vector<Duration>> gaps_by_rate;
+  std::vector<std::vector<Arrival>> arrivals_by_rate;
   for (const Rate& rate : rates) {
-    gaps_by_rate.push_back(PoissonArrivalGaps(rate.mean_gap, arrivals, 99));
+    std::vector<Arrival>& schedule = arrivals_by_rate.emplace_back();
+    for (const Duration& gap : PoissonArrivalGaps(rate.mean_gap, arrivals, 99)) {
+      schedule.push_back(Arrival{0, gap});
+    }
   }
 
   for (const std::string& function : {std::string("json"), std::string("recognition")}) {
@@ -49,23 +53,21 @@ void Run(int arrivals) {
       for (RestoreMode miss_mode : miss_modes) {
         PlatformConfig config;
         Platform platform(config);
+        HostSchedulerConfig sched;
+        sched.keep_warm = Duration::Seconds(600);
+        sched.miss_mode = miss_mode;
+        HostScheduler scheduler(&platform, sched);
         Result<FunctionSpec> spec = FindFunction(function);
         FAASNAP_CHECK_OK(spec.status());
-        TraceGenerator generator(*spec, config.layout);
-        FunctionSnapshot snapshot = platform.Record(generator, MakeInputA(*spec));
-
-        KeepAliveSimulator simulator(&platform, &snapshot, &generator);
-        KeepAliveConfig ka;
-        ka.keep_warm = Duration::Seconds(600);
-        ka.miss_mode = miss_mode;
-        KeepAliveStats stats = simulator.Run(gaps_by_rate[rate_index], ka);
+        scheduler.AddFunction(*spec);
+        HostSchedulerStats stats = scheduler.Run(arrivals_by_rate[rate_index]);
 
         // Estimate the miss-path latency as the max observed (misses dominate it).
         table.AddRow({rate.label, std::string(RestoreModeName(miss_mode)),
                       FormatCell("%.0f%%", 100.0 * stats.warm_hit_rate()),
                       FormatCell("%.1f", stats.latency_ms.mean()),
                       FormatCell("%.1f", stats.latency_ms.max()),
-                      FormatCell("%.1f", stats.avg_warm_resident_bytes / (1024.0 * 1024.0))});
+                      FormatCell("%.1f", stats.avg_pool_bytes / (1024.0 * 1024.0))});
       }
     }
     std::printf("## %s\n%s\n", function.c_str(), table.ToString().c_str());

@@ -25,7 +25,6 @@
 #include "src/common/thread_annotations.h"
 #include "src/mem/page_cache.h"
 #include "src/sim/simulation.h"
-#include "src/obs/legacy_tracer.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/span_tracer.h"
 #include "src/storage/storage_router.h"
@@ -70,12 +69,6 @@ class PrefetchLoader {
   // nesting under the chunk). Metrics: fetched bytes, skipped pages, chunk
   // count. Null pointers detach.
   void set_observability(SpanTracer* spans, MetricsRegistry* metrics);
-
-  // Deprecated: legacy entry point; equivalent to attaching the EventTracer's
-  // underlying span tracer with no metrics.
-  void set_tracer(EventTracer* tracer) {
-    set_observability(tracer != nullptr ? &tracer->spans() : nullptr, nullptr);
-  }
 
   // Span the loader's run span parents to (the owning invoke/record span).
   void set_parent_span(SpanId span) { parent_span_ = span; }

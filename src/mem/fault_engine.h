@@ -21,7 +21,6 @@
 #include "src/mem/fault_metrics.h"
 #include "src/mem/page_cache.h"
 #include "src/mem/readahead.h"
-#include "src/obs/legacy_tracer.h"
 #include "src/obs/span_tracer.h"
 #include "src/sim/simulation.h"
 #include "src/storage/storage_router.h"
@@ -133,12 +132,6 @@ class FaultEngine {
   // disk reads nest under it. Metrics: per-class fault counters and handling
   // histograms. Null pointers detach; detached cost is one branch per fault.
   void set_observability(SpanTracer* spans, MetricsRegistry* metrics);
-
-  // Deprecated: legacy entry point; equivalent to attaching the EventTracer's
-  // underlying span tracer with no metrics.
-  void set_tracer(EventTracer* tracer) {
-    set_observability(tracer != nullptr ? &tracer->spans() : nullptr, nullptr);
-  }
 
   // Span all subsequent fault spans parent to (the running invocation's span).
   void set_invocation_span(SpanId span) { invocation_span_ = span; }

@@ -44,7 +44,6 @@ uint32_t SpanTracer::InternName(std::string_view name) {
 SpanId SpanTracer::BeginIdLocked(SimTime start, ObsLane lane, uint32_t name_id,
                                  uint64_t arg0, uint64_t arg1, SpanId parent) {
   name_counts_[name_id]++;
-  ++revision_;
   if (records_.size() >= capacity_) {
     ++dropped_;
     return kNoSpan;
@@ -85,7 +84,6 @@ void SpanTracer::EndLocked(SpanId id, SimTime end) {
     rec.open = false;
     --open_spans_;
   }
-  ++revision_;
 }
 
 void SpanTracer::End(SpanId id, SimTime end) {
@@ -144,7 +142,6 @@ uint32_t SpanTracer::BeginTrack(std::string name) {
   MutexLock lock(mu_);
   track_names_.push_back(std::move(name));
   current_track_ = static_cast<uint32_t>(track_names_.size() - 1);
-  ++revision_;
   return current_track_;
 }
 
@@ -169,11 +166,6 @@ size_t SpanTracer::open_spans() const {
   return open_spans_;
 }
 
-uint64_t SpanTracer::revision() const {
-  MutexLock lock(mu_);
-  return revision_;
-}
-
 void SpanTracer::Clear() {
   MutexLock lock(mu_);
   records_.clear();
@@ -185,7 +177,6 @@ void SpanTracer::Clear() {
   current_track_ = 0;
   dropped_ = 0;
   open_spans_ = 0;
-  ++revision_;
 }
 
 }  // namespace faasnap

@@ -139,10 +139,6 @@ class SpanTracer {
   // open would leave its holder with a dangling id.
   size_t open_spans() const FAASNAP_EXCLUDES(mu_);
 
-  // Bumped on every mutation; lets derived views (the legacy EventTracer
-  // projection) cache their rebuild.
-  uint64_t revision() const FAASNAP_EXCLUDES(mu_);
-
   // Quiescent accessors: valid only while no other thread is emitting (after
   // the run / after worker threads are joined); exporters and tests.
   const std::vector<SpanRecord>& records() const FAASNAP_NO_THREAD_SAFETY_ANALYSIS {
@@ -174,7 +170,6 @@ class SpanTracer {
   std::vector<std::string> track_names_ FAASNAP_GUARDED_BY(mu_) = {"track0"};
   uint32_t current_track_ FAASNAP_GUARDED_BY(mu_) = 0;
   uint64_t dropped_ FAASNAP_GUARDED_BY(mu_) = 0;
-  uint64_t revision_ FAASNAP_GUARDED_BY(mu_) = 0;
   size_t open_spans_ FAASNAP_GUARDED_BY(mu_) = 0;
 };
 

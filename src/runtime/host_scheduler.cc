@@ -36,25 +36,11 @@ HostScheduler::~HostScheduler() = default;
 
 size_t HostScheduler::AddFunction(const FunctionSpec& spec) {
   auto entry = std::make_unique<Entry>();
-  entry->owned_generator =
-      std::make_unique<TraceGenerator>(spec, platform_->config().layout);
-  entry->owned_snapshot = std::make_unique<FunctionSnapshot>(
-      platform_->Record(*entry->owned_generator, MakeInputA(spec)));
-  entry->generator = entry->owned_generator.get();
-  entry->snapshot = entry->owned_snapshot.get();
+  entry->generator = std::make_unique<TraceGenerator>(spec, platform_->config().layout);
+  entry->snapshot = std::make_unique<FunctionSnapshot>(
+      platform_->Record(*entry->generator, MakeInputA(spec)));
   entry->ws_bytes =
       PagesToBytes(PageCount::FromPages(entry->snapshot->record_touched.page_count()));
-  entries_.push_back(std::move(entry));
-  return entries_.size() - 1;
-}
-
-size_t HostScheduler::AddRecordedFunction(const FunctionSnapshot* snapshot,
-                                          const TraceGenerator* generator) {
-  FAASNAP_CHECK(snapshot != nullptr && generator != nullptr);
-  auto entry = std::make_unique<Entry>();
-  entry->generator = generator;
-  entry->snapshot = snapshot;
-  entry->ws_bytes = PagesToBytes(PageCount::FromPages(snapshot->record_touched.page_count()));
   entries_.push_back(std::move(entry));
   return entries_.size() - 1;
 }
@@ -107,8 +93,130 @@ void HostScheduler::EvictIdleBytes(ByteCount bytes, HostSchedulerStats* stats) {
   }
 }
 
+double HostScheduler::AccrueIdlePool(SimTime from, HostSchedulerStats* stats) {
+  const SimTime now = platform_->sim()->now();
+  double byte_seconds = 0;
+  // The LRU front expires first; each reclaim shrinks the pool from its VM's
+  // horizon on, which can fall before `from` when the horizon passed while the
+  // previous invocation ran.
+  while (!lru_.empty() && now - lru_.front()->last_used > config_.keep_warm) {
+    const SimTime horizon = lru_.front()->last_used + config_.keep_warm;
+    if (horizon > from) {
+      byte_seconds += static_cast<double>(pool_bytes_.value()) * (horizon - from).seconds();
+      from = horizon;
+    }
+    MarkCold(lru_.front());
+    stats->expirations++;
+  }
+  return byte_seconds + static_cast<double>(pool_bytes_.value()) * (now - from).seconds();
+}
+
 HostSchedulerStats HostScheduler::Run(const std::vector<Arrival>& arrivals) {
   return config_.open_loop ? RunOpenLoop(arrivals) : RunClosedLoop(arrivals);
+}
+
+// Per-serve bookkeeping shared by both loops. It is split in two because
+// FinishServe stamps the serve span end and the quarantine window at the
+// caller's clock: the open loop calls it from the completion callback, the
+// closed loop after draining the whole event queue, which runs past the
+// completion when loader chunks land after it.
+//
+// BeginServe resolves the restore mode (warm hit, `miss_mode`, or cold boot
+// while the snapshot is quarantined), takes a warm VM out of the idle pool
+// while it runs, and opens the scheduler-lane serve span (arg0 = function
+// index, arg1 = warm hit).
+HostScheduler::PlannedServe HostScheduler::BeginServe(size_t function_index, bool warm,
+                                                      RestoreMode miss_mode,
+                                                      HostSchedulerStats* stats) {
+  Simulation* sim = platform_->sim();
+  Entry& entry = *entries_[function_index];
+  PlannedServe planned;
+  planned.function_index = function_index;
+  planned.warm = warm;
+  planned.mode = warm ? RestoreMode::kWarm : miss_mode;
+  if (warm) {
+    MarkCold(&entry);
+  } else if (sim->now() < entry.quarantined_until) {
+    // The snapshot is benched after repeated failed restores: cold-boot.
+    planned.mode = RestoreMode::kColdBoot;
+    stats->quarantined_serves++;
+  }
+  SpanTracer* spans = platform_->spans();
+  if (spans != nullptr) {
+    planned.span = spans->Begin(sim->now(), ObsLane::kScheduler, obsname::kSchedulerServe,
+                                function_index, warm ? 1 : 0);
+  }
+  return planned;
+}
+
+// FinishServe accounts the outcome at the platform clock: the quarantine state
+// machine (restore failures on a snapshot miss, benching after the threshold),
+// the serve span end, hit/miss counters and latency stats, and, unless the
+// invocation failed, the VM's return to the warm pool.
+void HostScheduler::FinishServe(const PlannedServe& planned, InvocationOutcome outcome,
+                                Duration latency, HostSchedulerStats* stats) {
+  const SimTime now = platform_->sim()->now();
+  Entry& entry = *entries_[planned.function_index];
+  if (!planned.warm && planned.mode != RestoreMode::kColdBoot) {
+    if (outcome == InvocationOutcome::kFailed) {
+      stats->restore_failures++;
+      if (++entry.consecutive_failures >= config_.quarantine_failure_threshold) {
+        entry.quarantined_until = now + config_.quarantine_backoff;
+        entry.consecutive_failures = 0;
+        stats->quarantines++;
+      }
+    } else {
+      entry.consecutive_failures = 0;
+    }
+  }
+  SpanTracer* spans = platform_->spans();
+  if (spans != nullptr) {
+    spans->End(planned.span, now);
+  }
+
+  stats->invocations++;
+  stats->per_function_invocations[planned.function_index]++;
+  if (planned.warm) {
+    stats->warm_hits++;
+    stats->per_function_hits[planned.function_index]++;
+  } else {
+    stats->misses++;
+    stats->miss_latency_ms.Record(latency.millis());
+  }
+  stats->latency_ms.Record(latency.millis());
+  if (warm_hits_metric_ != nullptr) {
+    (planned.warm ? warm_hits_metric_ : misses_metric_)->Add(1);
+  }
+  entry.served_once = true;
+  // A failed invocation leaves no VM behind to keep warm.
+  if (outcome != InvocationOutcome::kFailed) {
+    MarkWarm(&entry, now);
+  } else {
+    entry.last_used = now;
+  }
+  if (pool_gauge_ != nullptr) {
+    pool_gauge_->Set(static_cast<double>(pool_bytes_.value()));
+  }
+}
+
+void HostScheduler::AttachRunMetrics() {
+  MetricsRegistry* metrics = platform_->metrics();
+  warm_hits_metric_ = metrics != nullptr ? metrics->GetCounter("scheduler.warm_hits") : nullptr;
+  misses_metric_ = metrics != nullptr ? metrics->GetCounter("scheduler.misses") : nullptr;
+  pool_gauge_ = metrics != nullptr ? metrics->GetGauge("scheduler.pool_bytes") : nullptr;
+}
+
+void HostScheduler::FinishRun(SimTime span_start, double pool_byte_time,
+                              HostSchedulerStats* stats) {
+  stats->span = platform_->sim()->now() - span_start;
+  if (stats->span > Duration::Zero()) {
+    stats->avg_pool_bytes = pool_byte_time / stats->span.seconds();
+  }
+  MetricsRegistry* metrics = platform_->metrics();
+  if (metrics != nullptr) {
+    metrics->GetCounter("scheduler.evictions")->Add(stats->evictions);
+    metrics->GetCounter("scheduler.expirations")->Add(stats->expirations);
+  }
 }
 
 HostSchedulerStats HostScheduler::RunClosedLoop(const std::vector<Arrival>& arrivals) {
@@ -120,25 +228,13 @@ HostSchedulerStats HostScheduler::RunClosedLoop(const std::vector<Arrival>& arri
   SimTime last_completion = sim->now();
   double pool_byte_time = 0;
   uint64_t arrival_seed = 0x5c4ed;
-  const ServeCounters counters{&stats.restore_failures, &stats.quarantines,
-                               &stats.quarantined_serves};
-
-  MetricsRegistry* metrics = platform_->metrics();
-  Counter* warm_hits_metric = nullptr;
-  Counter* misses_metric = nullptr;
-  Gauge* pool_gauge = nullptr;
-  if (metrics != nullptr) {
-    warm_hits_metric = metrics->GetCounter("scheduler.warm_hits");
-    misses_metric = metrics->GetCounter("scheduler.misses");
-    pool_gauge = metrics->GetGauge("scheduler.pool_bytes");
-  }
+  AttachRunMetrics();
 
   for (const Arrival& arrival : arrivals) {
     FAASNAP_CHECK(arrival.function_index < entries_.size());
-    const SimTime at = last_completion + arrival.gap;
-    const SimTime before = sim->now();
-    sim->RunUntil(at);
-    pool_byte_time += static_cast<double>(pool_bytes_.value()) * (sim->now() - before).seconds();
+    const SimTime idle_from = sim->now();
+    sim->RunUntil(last_completion + arrival.gap);
+    pool_byte_time += AccrueIdlePool(idle_from, &stats);
 
     Entry& entry = *entries_[arrival.function_index];
     ReclaimAndEvict(entry.warm ? ByteCount::Zero() : entry.ws_bytes, config_.keep_warm, &stats);
@@ -153,13 +249,8 @@ HostSchedulerStats HostScheduler::RunClosedLoop(const std::vector<Arrival>& arri
     if (!entry.generator->spec().fixed_input) {
       input.content_seed = ++arrival_seed;
     }
-    ServeParams params;
-    params.warm = warm;
-    params.miss_mode = config_.miss_mode;
-    params.quarantine_failure_threshold = config_.quarantine_failure_threshold;
-    params.quarantine_backoff = config_.quarantine_backoff;
-    params.function_index = arrival.function_index;
-    const PlannedServe planned = BeginServe(platform_, params, &entry.health, counters);
+    const PlannedServe planned =
+        BeginServe(arrival.function_index, warm, config_.miss_mode, &stats);
     bool done = false;
     Duration latency;
     InvocationOutcome outcome = InvocationOutcome::kOk;
@@ -169,52 +260,16 @@ HostSchedulerStats HostScheduler::RunClosedLoop(const std::vector<Arrival>& arri
                              outcome = report.outcome;
                              done = true;
                            });
-    sim->Run();
+    sim->Run();  // FinishServe stamps at this post-drain clock
     FAASNAP_CHECK(done);
-    // The serve span ends (and quarantine bookkeeping stamps) at the
-    // post-drain clock, as the serial loop always has.
-    FinishServe(platform_, planned, outcome, params, &entry.health, counters);
-
-    stats.invocations++;
-    stats.per_function_invocations[arrival.function_index]++;
-    entry.served_once = true;
-    if (warm) {
-      stats.warm_hits++;
-      stats.per_function_hits[arrival.function_index]++;
-    } else {
-      stats.misses++;
-      stats.miss_latency_ms.Record(latency.millis());
-    }
-    stats.latency_ms.Record(latency.millis());
-    pool_byte_time +=
-        static_cast<double>((pool_bytes_ + (warm ? ByteCount::Zero() : entry.ws_bytes)).value()) *
-        latency.seconds();
-
-    if (warm_hits_metric != nullptr) {
-      (warm ? warm_hits_metric : misses_metric)->Add(1);
-    }
-
-    // A failed invocation leaves no VM behind to keep warm.
-    if (outcome != InvocationOutcome::kFailed) {
-      MarkWarm(&entry, sim->now());
-    } else {
-      MarkCold(&entry);
-      entry.last_used = sim->now();
-    }
+    // The running VM is resident too.
+    pool_byte_time += static_cast<double>((pool_bytes_ + entry.ws_bytes).value()) *
+                      latency.seconds();
+    FinishServe(planned, outcome, latency, &stats);
     last_completion = sim->now();
-    if (pool_gauge != nullptr) {
-      pool_gauge->Set(static_cast<double>(pool_bytes_.value()));
-    }
   }
 
-  stats.span = sim->now() - span_start;
-  if (stats.span > Duration::Zero()) {
-    stats.avg_pool_bytes = pool_byte_time / stats.span.seconds();
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("scheduler.evictions")->Add(stats.evictions);
-    metrics->GetCounter("scheduler.expirations")->Add(stats.expirations);
-  }
+  FinishRun(span_start, pool_byte_time, &stats);
   return stats;
 }
 
@@ -248,9 +303,6 @@ struct HostScheduler::OpenLoopState {
   bool have_offer = false;
   SimTime last_offer_at;
 
-  Counter* warm_hits_metric = nullptr;
-  Counter* misses_metric = nullptr;
-  Gauge* pool_gauge = nullptr;
   Counter* shed_metrics[2] = {};  // queue_full, deadline
 };
 
@@ -265,11 +317,9 @@ void HostScheduler::BeginOpenLoop() {
   ol.last_accrual = ol.span_start;
   ol.last_outcome = ol.span_start;
 
+  AttachRunMetrics();
   MetricsRegistry* metrics = platform_->metrics();
   if (metrics != nullptr) {
-    ol.warm_hits_metric = metrics->GetCounter("scheduler.warm_hits");
-    ol.misses_metric = metrics->GetCounter("scheduler.misses");
-    ol.pool_gauge = metrics->GetGauge("scheduler.pool_bytes");
     ol.shed_metrics[0] = metrics->GetCounter("scheduler.shed", {{"reason", "queue_full"}});
     ol.shed_metrics[1] = metrics->GetCounter("scheduler.shed", {{"reason", "deadline"}});
   }
@@ -361,18 +411,11 @@ void HostScheduler::OpenLoopRun(const AdmissionRequest& request, Duration wait) 
   OpenLoopState& ol = *open_loop_;
   const SimTime now = platform_->sim()->now();
   OpenLoopAccrue(now);
-  const ServeCounters counters{&ol.stats.restore_failures, &ol.stats.quarantines,
-                               &ol.stats.quarantined_serves};
   Entry& entry = *entries_[request.function_index];
   // L3 tightens the keep-alive horizon; idle VMs go back to snapshots sooner.
   ReclaimAndEvict(entry.warm ? ByteCount::Zero() : entry.ws_bytes,
                   ScaleDuration(config_.keep_warm, ol.ladder.keep_warm_scale()), &ol.stats);
   const bool warm = entry.warm;
-  if (warm) {
-    // The warm VM leaves the idle pool while running; its bytes are charged
-    // to the admission controller's in-flight accounting instead.
-    MarkCold(&entry);
-  }
   ++entry.running;
   ol.stats.queue_wait_ms.Record(wait.millis());
   // No DropCaches on misses here: the page cache is shared with concurrent
@@ -382,60 +425,30 @@ void HostScheduler::OpenLoopRun(const AdmissionRequest& request, Duration wait) 
   if (!entry.generator->spec().fixed_input) {
     input.content_seed = ol.seeds[request.id];
   }
-  ServeParams params;
-  params.warm = warm;
-  params.miss_mode = config_.miss_mode;
-  if (!warm && ol.ladder.demote_restore_mode() && DemotableToReap(config_.miss_mode)) {
+  RestoreMode miss_mode = config_.miss_mode;
+  if (!warm && ol.ladder.demote_restore_mode() && DemotableToReap(miss_mode)) {
     // L2: serve the miss WS-only instead of prefetching the full snapshot.
-    params.miss_mode = RestoreMode::kReap;
+    miss_mode = RestoreMode::kReap;
     ++ol.stats.pressure_demotions;
   }
-  params.quarantine_failure_threshold = config_.quarantine_failure_threshold;
-  params.quarantine_backoff = config_.quarantine_backoff;
-  params.function_index = request.function_index;
-  const PlannedServe planned = BeginServe(platform_, params, &entry.health, counters);
+  // A warm VM's bytes move from the idle pool to the admission controller's
+  // in-flight accounting while it runs.
+  const PlannedServe planned = BeginServe(request.function_index, warm, miss_mode, &ol.stats);
   platform_->InvokeAsync(*entry.snapshot, planned.mode, entry.generator->Generate(input),
-                         [this, request, params, planned, warm](InvocationReport report) {
-                           OpenLoopComplete(request, params, planned, warm, report);
+                         [this, request, planned](InvocationReport report) {
+                           OpenLoopComplete(request, planned, report);
                          });
 }
 
-void HostScheduler::OpenLoopComplete(const AdmissionRequest& request, const ServeParams& params,
-                                     const PlannedServe& planned, bool warm,
+void HostScheduler::OpenLoopComplete(const AdmissionRequest& request, const PlannedServe& planned,
                                      const InvocationReport& report) {
   OpenLoopState& ol = *open_loop_;
   const SimTime done_at = platform_->sim()->now();
   OpenLoopAccrue(done_at);
-  const ServeCounters counters{&ol.stats.restore_failures, &ol.stats.quarantines,
-                               &ol.stats.quarantined_serves};
-  Entry& served = *entries_[request.function_index];
-  --served.running;
-  FinishServe(platform_, planned, report.outcome, params, &served.health, counters);
+  --entries_[request.function_index]->running;
   const Duration latency = report.total_time();
-  ol.stats.invocations++;
-  ol.stats.per_function_invocations[request.function_index]++;
-  if (warm) {
-    ol.stats.warm_hits++;
-    ol.stats.per_function_hits[request.function_index]++;
-  } else {
-    ol.stats.misses++;
-    ol.stats.miss_latency_ms.Record(latency.millis());
-  }
-  ol.stats.latency_ms.Record(latency.millis());
+  FinishServe(planned, report.outcome, latency, &ol.stats);
   ol.stats.accepted_latency.Record(latency);
-  if (ol.warm_hits_metric != nullptr) {
-    (warm ? ol.warm_hits_metric : ol.misses_metric)->Add(1);
-  }
-  served.served_once = true;
-  // A failed invocation leaves no VM behind to keep warm.
-  if (report.outcome != InvocationOutcome::kFailed) {
-    MarkWarm(&served, done_at);
-  } else {
-    served.last_used = done_at;
-  }
-  if (ol.pool_gauge != nullptr) {
-    ol.pool_gauge->Set(static_cast<double>(pool_bytes_.value()));
-  }
   ol.last_outcome = done_at;
   ol.admission->OnComplete(request);
   OpenLoopUpdateLadder();
@@ -476,15 +489,7 @@ HostSchedulerStats HostScheduler::FinishOpenLoop() {
   if (ol.have_offer && ol.last_outcome > ol.last_offer_at) {
     ol.stats.drain_time = ol.last_outcome - ol.last_offer_at;
   }
-  ol.stats.span = sim->now() - ol.span_start;
-  if (ol.stats.span > Duration::Zero()) {
-    ol.stats.avg_pool_bytes = ol.pool_byte_time / ol.stats.span.seconds();
-  }
-  MetricsRegistry* metrics = platform_->metrics();
-  if (metrics != nullptr) {
-    metrics->GetCounter("scheduler.evictions")->Add(ol.stats.evictions);
-    metrics->GetCounter("scheduler.expirations")->Add(ol.stats.expirations);
-  }
+  FinishRun(ol.span_start, ol.pool_byte_time, &ol.stats);
   platform_->set_pressure_overrides(nullptr);
   HostSchedulerStats stats = std::move(ol.stats);
   open_loop_.reset();

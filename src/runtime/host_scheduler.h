@@ -10,12 +10,16 @@
 // few functions are hot, most are invoked rarely — modeled here with a Zipf
 // popularity distribution over Poisson arrivals.
 //
+// Registered with a single function, the engine is the paper's keep-alive
+// tradeoff on its own: warm hits vs snapshot-restore or cold-boot misses, and
+// the memory the warm VM pins between invocations.
+//
 // Two serving disciplines share the engine:
 //
 //   Closed loop (default) — invocations are admitted serially in arrival order
 //   (one running VM at a time, the next gap measured from the previous
 //   completion); this isolates the policy effects from CPU contention, which
-//   Figure 10 covers. Bit-identical to the historical behavior per seed.
+//   Figure 10 covers.
 //
 //   Open loop (config.open_loop) — arrivals land at absolute virtual times
 //   regardless of completions, up to admission.max_concurrency invocations run
@@ -35,7 +39,6 @@
 #include "src/runtime/admission.h"
 #include "src/runtime/arrivals.h"
 #include "src/runtime/platform.h"
-#include "src/runtime/serve_common.h"
 
 namespace faasnap {
 
@@ -71,8 +74,10 @@ struct HostSchedulerStats {
   int64_t quarantined_serves = 0; // misses served by cold boot while benched
   RunningStats latency_ms;
   RunningStats miss_latency_ms;
-  // Time-averaged bytes pinned by the warm pool across the run (open loop also
-  // counts the predicted bytes of in-flight restores).
+  // Time-averaged bytes pinned by the warm pool across the run. The closed
+  // loop charges an idle VM until it is hit or its keep-alive horizon passes;
+  // the open loop charges it until an arrival reclaims it, and also counts the
+  // predicted bytes of in-flight restores.
   double avg_pool_bytes = 0;
   Duration span;
   // Per registered function: hit counts (hot functions should dominate).
@@ -117,11 +122,6 @@ class HostScheduler {
   // index for Arrival::function_index.
   size_t AddFunction(const FunctionSpec& spec);
 
-  // Registers an already-recorded function without re-running the record
-  // phase. Both pointers must outlive the scheduler; the snapshot must have
-  // been recorded on this scheduler's platform.
-  size_t AddRecordedFunction(const FunctionSnapshot* snapshot, const TraceGenerator* generator);
-
   // Serves `arrivals` and returns the aggregate statistics: serially in the
   // closed loop, or at absolute virtual times under admission control when
   // config.open_loop is set.
@@ -160,11 +160,8 @@ class HostScheduler {
 
  private:
   struct Entry {
-    // Owned when registered via AddFunction; raw views used everywhere.
-    std::unique_ptr<TraceGenerator> owned_generator;
-    std::unique_ptr<FunctionSnapshot> owned_snapshot;
-    const TraceGenerator* generator = nullptr;
-    const FunctionSnapshot* snapshot = nullptr;
+    std::unique_ptr<TraceGenerator> generator;
+    std::unique_ptr<FunctionSnapshot> snapshot;
     ByteCount ws_bytes;
     // Warm-pool state. `lru_it` points into lru_ iff warm.
     bool warm = false;
@@ -174,8 +171,18 @@ class HostScheduler {
     int running = 0;
     // At least one invocation of this function completed on this host.
     bool served_once = false;
-    // Snapshot quarantine state (shared serve bookkeeping).
-    ServeHealth health;
+    // Snapshot health: consecutive failed restores, and until when misses
+    // bypass the snapshot (cold boot) instead of retrying it.
+    int consecutive_failures = 0;
+    SimTime quarantined_until;
+  };
+
+  // What BeginServe decided at admission; threaded through to FinishServe.
+  struct PlannedServe {
+    size_t function_index = 0;
+    bool warm = false;
+    RestoreMode mode = RestoreMode::kWarm;
+    SpanId span = kNoSpan;
   };
 
   // Live state of one open-loop run, heap-held between BeginOpenLoop and
@@ -186,14 +193,24 @@ class HostScheduler {
   HostSchedulerStats RunClosedLoop(const std::vector<Arrival>& arrivals);
   HostSchedulerStats RunOpenLoop(const std::vector<Arrival>& arrivals);
 
+  // Per-serve bookkeeping shared by both loops; see host_scheduler.cc.
+  PlannedServe BeginServe(size_t function_index, bool warm, RestoreMode miss_mode,
+                          HostSchedulerStats* stats);
+  void FinishServe(const PlannedServe& planned, InvocationOutcome outcome, Duration latency,
+                   HostSchedulerStats* stats);
+  // Looks up the serve metrics when a run begins; publishes span, average
+  // pool and reclaim counters when it ends.
+  void AttachRunMetrics();
+  void FinishRun(SimTime span_start, double pool_byte_time, HostSchedulerStats* stats);
+
   // Open-loop engine internals; see host_scheduler.cc.
   void OpenLoopArrival(size_t function_index);
   void OpenLoopAccrue(SimTime now);
   void OpenLoopUpdateLadder();
   void OpenLoopShed(const AdmissionRequest& request, InvocationOutcome outcome, Duration wait);
   void OpenLoopRun(const AdmissionRequest& request, Duration wait);
-  void OpenLoopComplete(const AdmissionRequest& request, const ServeParams& params,
-                        const PlannedServe& planned, bool warm, const InvocationReport& report);
+  void OpenLoopComplete(const AdmissionRequest& request, const PlannedServe& planned,
+                        const InvocationReport& report);
 
   // Warm-pool bookkeeping: the pool byte total and the LRU list (front =
   // least recently used) are maintained incrementally — marking a VM warm,
@@ -204,6 +221,9 @@ class HostScheduler {
   // Reclaims VMs idle past `keep_warm` and, if needed, LRU-evicts until
   // `needed` bytes fit in the budget.
   void ReclaimAndEvict(ByteCount needed, Duration keep_warm, HostSchedulerStats* stats);
+  // Closed loop: the idle pool's byte-seconds from `from` to now, each warm VM
+  // charged only up to its keep-alive horizon and reclaimed there.
+  double AccrueIdlePool(SimTime from, HostSchedulerStats* stats);
   // Best-effort: evicts idle LRU VMs until at least `bytes` are unpinned (the
   // admission controller's make_room hook).
   void EvictIdleBytes(ByteCount bytes, HostSchedulerStats* stats);
@@ -214,6 +234,10 @@ class HostScheduler {
   std::list<Entry*> lru_;      // warm entries, ascending last_used
   ByteCount pool_bytes_;       // sum of ws_bytes over warm entries
   std::unique_ptr<OpenLoopState> open_loop_;  // live between Begin/FinishOpenLoop
+  // Serve metrics of the current run; null without a registry.
+  Counter* warm_hits_metric_ = nullptr;
+  Counter* misses_metric_ = nullptr;
+  Gauge* pool_gauge_ = nullptr;
 };
 
 }  // namespace faasnap

@@ -23,7 +23,6 @@
 #include "src/core/function_snapshot.h"
 #include "src/core/platform_config.h"
 #include "src/metrics/report.h"
-#include "src/obs/legacy_tracer.h"
 #include "src/obs/observability.h"
 #include "src/restore/restore_policy.h"
 #include "src/sim/cpu_model.h"
@@ -92,14 +91,6 @@ class Platform {
       spans = forensics_ != nullptr ? forensics_->buffer() : &obs->spans;
     }
     SetObservability(spans, obs != nullptr ? &obs->metrics : nullptr);
-  }
-
-  // Deprecated: legacy flat-event tracing. Records through the EventTracer's
-  // underlying span tracer (no metrics); the tracer must outlive the platform.
-  void set_tracer(EventTracer* tracer) {
-    forensics_ = nullptr;
-    timeline_ = nullptr;
-    SetObservability(tracer != nullptr ? &tracer->spans() : nullptr, nullptr);
   }
 
   SpanTracer* spans() { return spans_; }

@@ -1,11 +1,10 @@
 // Arrival-process sampling: the workload side of serving simulations.
 //
-// Every serving engine (KeepAliveSimulator, HostScheduler, the cluster
-// dispatcher) consumes the same seeded arrival streams, so the samplers live
-// with the workload definitions rather than with any one engine. Three
-// processes cover the regimes the fleet-level literature sweeps ("How Low Can
-// You Go?" frames cold-start rate vs. keep-alive memory under exactly these
-// mixes):
+// The serving engines (HostScheduler, the cluster dispatcher) consume the same
+// seeded arrival streams, so the samplers live with the workload definitions
+// rather than with either engine. Three processes cover the regimes the
+// fleet-level literature sweeps ("How Low Can You Go?" frames cold-start rate
+// vs. keep-alive memory under exactly these mixes):
 //
 //   poisson — exponential inter-arrival gaps at a fixed mean rate;
 //   bursty  — an ON/OFF modulated Poisson process: exponentially distributed

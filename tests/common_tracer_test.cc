@@ -1,80 +1,38 @@
-#include "src/obs/legacy_tracer.h"
+// Platform-level span coverage through an Observability bundle: a cold FaaSnap
+// invocation records its lifecycle markers and the loader's chunk reads. One
+// fault span per counted fault is pinned per restore mode by
+// CriticalPathTest.AttributesFaultsAndGuestTime (obs_critical_path_test).
 
 #include <gtest/gtest.h>
 
+#include "src/obs/observability.h"
 #include "src/runtime/platform.h"
 #include "src/storage/device_profiles.h"
 
 namespace faasnap {
 namespace {
 
-TEST(EventTracer, CountsAndRing) {
-  EventTracer tracer(/*capacity=*/4);
-  for (int i = 0; i < 10; ++i) {
-    tracer.Emit(SimTime::FromNanos(i), TraceEventType::kFaultStart, static_cast<uint64_t>(i));
-  }
-  EXPECT_EQ(tracer.count(TraceEventType::kFaultStart), 10);
-  EXPECT_EQ(tracer.events().size(), 4u);  // ring keeps the most recent
-  EXPECT_EQ(tracer.events().front().arg0, 6u);
-  EXPECT_EQ(tracer.events().back().arg0, 9u);
-}
-
-TEST(EventTracer, TimelineFiltersByRange) {
-  EventTracer tracer;
-  tracer.Emit(SimTime::FromNanos(1000000), TraceEventType::kSetupDone, 3);
-  tracer.Emit(SimTime::FromNanos(2000000), TraceEventType::kInvocationStart);
-  tracer.Emit(SimTime::FromNanos(9000000), TraceEventType::kInvocationEnd, 7000000);
-  std::string window =
-      tracer.RenderTimeline(SimTime::FromNanos(500000), SimTime::FromNanos(3000000));
-  EXPECT_NE(window.find("setup-done"), std::string::npos);
-  EXPECT_NE(window.find("invocation-start"), std::string::npos);
-  EXPECT_EQ(window.find("invocation-end"), std::string::npos);
-}
-
-TEST(EventTracer, ClearResets) {
-  EventTracer tracer;
-  tracer.Emit(SimTime::FromNanos(1), TraceEventType::kDiskIssue, 0, 4096);
-  tracer.Clear();
-  EXPECT_EQ(tracer.count(TraceEventType::kDiskIssue), 0);
-  EXPECT_TRUE(tracer.events().empty());
-}
-
-TEST(EventTracer, TypeNamesAreStable) {
-  EXPECT_EQ(TraceEventTypeName(TraceEventType::kFaultStart), "fault-start");
-  EXPECT_EQ(TraceEventTypeName(TraceEventType::kLoaderChunk), "loader-chunk");
-  EXPECT_EQ(TraceEventTypeName(TraceEventType::kInvocationEnd), "invocation-end");
-}
-
-TEST(EventTracer, PlatformEmitsLifecycleAndFaultEvents) {
+TEST(PlatformSpans, FaasnapInvocationRecordsLifecycleAndLoaderSpans) {
   PlatformConfig config;
   BlockDeviceProfile disk = NvmeSsdProfile();
   disk.jitter = 0.0;
   config.disk = disk;
   Platform platform(config);
-  EventTracer tracer;
-  platform.set_tracer(&tracer);
+  Observability obs;
+  platform.set_observability(&obs);
 
   Result<FunctionSpec> spec = FindFunction("json");
   ASSERT_TRUE(spec.ok());
   TraceGenerator generator(*spec, config.layout);
   FunctionSnapshot snapshot = platform.Record(generator, MakeInputA(*spec));
   platform.DropCaches();
-  tracer.Clear();  // focus on the invocation
-  InvocationReport report =
-      platform.Invoke(snapshot, RestoreMode::kFaasnap, generator, MakeInputB(*spec));
+  obs.spans.Clear();  // focus on the invocation
+  platform.Invoke(snapshot, RestoreMode::kFaasnap, generator, MakeInputB(*spec));
 
-  EXPECT_EQ(tracer.count(TraceEventType::kSetupDone), 1);
-  EXPECT_EQ(tracer.count(TraceEventType::kInvocationStart), 1);
-  EXPECT_EQ(tracer.count(TraceEventType::kInvocationEnd), 1);
-  // Every fault produced a start+end pair.
-  EXPECT_EQ(tracer.count(TraceEventType::kFaultStart), report.faults.total_faults());
-  EXPECT_EQ(tracer.count(TraceEventType::kFaultEnd), report.faults.total_faults());
+  EXPECT_EQ(obs.spans.count(obsname::kSetupDone), 1);
+  EXPECT_EQ(obs.spans.count(obsname::kInvocation), 1);
   // The loader streamed the loading set in chunks.
-  EXPECT_GT(tracer.count(TraceEventType::kLoaderChunk), 0);
-  // The timeline renders without crashing and mentions the phases.
-  std::string timeline = tracer.RenderTimeline(SimTime::FromNanos(0), platform.sim()->now());
-  EXPECT_NE(timeline.find("invocation-start"), std::string::npos);
-  EXPECT_NE(timeline.find("loader-chunk"), std::string::npos);
+  EXPECT_GT(obs.spans.count(obsname::kLoaderChunk), 0);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
-#include "src/runtime/keepalive.h"
+// Keep-alive economics of sections 2.1 / 7.1, served by a one-function
+// HostScheduler: warm hits, miss paths, and the memory a warm VM pins.
 
 #include <gtest/gtest.h>
 
+#include "src/runtime/host_scheduler.h"
 #include "src/storage/device_profiles.h"
 
 namespace faasnap {
@@ -36,68 +38,91 @@ TEST(PoissonArrivalGaps, DeterministicPerSeed) {
 
 class KeepAliveTest : public ::testing::Test {
  protected:
-  KeepAliveTest()
-      : platform_(TestConfig()),
-        spec_(*FindFunction("json")),
-        generator_(spec_, platform_.config().layout),
-        snapshot_(platform_.Record(generator_, MakeInputA(spec_))),
-        simulator_(&platform_, &snapshot_, &generator_) {}
+  KeepAliveTest() : platform_(TestConfig()) {}
+
+  // A host whose budget never forces an eviction; each test adds one json function.
+  HostScheduler MakeScheduler(RestoreMode miss_mode, Duration keep_warm) {
+    HostSchedulerConfig config;
+    config.warm_pool_budget_bytes = GiB(1);
+    config.keep_warm = keep_warm;
+    config.miss_mode = miss_mode;
+    return HostScheduler(&platform_, config);
+  }
+
+  static double WorkingSetBytes(const HostScheduler& scheduler) {
+    return static_cast<double>(PagesToBytes(scheduler.snapshot(0).record_touched.page_count()));
+  }
 
   Platform platform_;
-  FunctionSpec spec_;
-  TraceGenerator generator_;
-  FunctionSnapshot snapshot_;
-  KeepAliveSimulator simulator_;
 };
 
 TEST_F(KeepAliveTest, FrequentArrivalsHitWarm) {
-  KeepAliveConfig config;
-  config.keep_warm = Duration::Seconds(600);
-  config.miss_mode = RestoreMode::kFaasnap;
+  HostScheduler scheduler = MakeScheduler(RestoreMode::kFaasnap, Duration::Seconds(600));
+  scheduler.AddFunction(*FindFunction("json"));
   // 1-second gaps: everything after the first invocation is warm.
-  std::vector<Duration> gaps(10, Duration::Seconds(1));
-  KeepAliveStats stats = simulator_.Run(gaps, config);
+  std::vector<Arrival> arrivals(10, Arrival{0, Duration::Seconds(1)});
+  HostSchedulerStats stats = scheduler.Run(arrivals);
   EXPECT_EQ(stats.invocations, 10);
   EXPECT_EQ(stats.misses, 1);  // the very first
   EXPECT_EQ(stats.warm_hits, 9);
-  EXPECT_GT(stats.avg_warm_resident_bytes, 0.0);
+  EXPECT_GT(stats.avg_pool_bytes, 0.0);
+  EXPECT_EQ(stats.arrivals, 0);  // open-loop counters stay zero in the closed loop
 }
 
 TEST_F(KeepAliveTest, SparseArrivalsAlwaysMiss) {
-  KeepAliveConfig config;
-  config.keep_warm = Duration::Seconds(60);
-  config.miss_mode = RestoreMode::kFaasnap;
-  std::vector<Duration> gaps(5, Duration::Seconds(3600));  // hourly
-  KeepAliveStats stats = simulator_.Run(gaps, config);
+  HostScheduler scheduler = MakeScheduler(RestoreMode::kFaasnap, Duration::Seconds(60));
+  scheduler.AddFunction(*FindFunction("json"));
+  std::vector<Arrival> arrivals(5, Arrival{0, Duration::Seconds(3600)});  // hourly
+  HostSchedulerStats stats = scheduler.Run(arrivals);
   EXPECT_EQ(stats.warm_hits, 0);
   EXPECT_EQ(stats.misses, 5);
   // Idle memory is bounded by the keep-warm window, not the whole hour.
-  const double ws_bytes = static_cast<double>(PagesToBytes(snapshot_.record_touched.page_count()));
-  EXPECT_LT(stats.avg_warm_resident_bytes, ws_bytes * 0.05);
+  EXPECT_LT(stats.avg_pool_bytes, WorkingSetBytes(scheduler) * 0.05);
 }
 
 TEST_F(KeepAliveTest, WarmHitsAreFasterThanMisses) {
-  KeepAliveConfig config;
-  config.keep_warm = Duration::Seconds(600);
-  config.miss_mode = RestoreMode::kFaasnap;
-  std::vector<Duration> gaps(6, Duration::Seconds(1));
-  KeepAliveStats stats = simulator_.Run(gaps, config);
+  HostScheduler scheduler = MakeScheduler(RestoreMode::kFaasnap, Duration::Seconds(600));
+  scheduler.AddFunction(*FindFunction("json"));
+  std::vector<Arrival> arrivals(6, Arrival{0, Duration::Seconds(1)});
+  HostSchedulerStats stats = scheduler.Run(arrivals);
   // The first (miss) is the max; warm hits pull the mean well below it.
   EXPECT_LT(stats.latency_ms.min(), stats.latency_ms.max() * 0.8);
 }
 
 TEST_F(KeepAliveTest, ColdBootMissesAreOrdersOfMagnitudeSlower) {
-  KeepAliveConfig faasnap_cfg{.keep_warm = Duration::Seconds(1), .miss_mode = RestoreMode::kFaasnap};
-  KeepAliveConfig cold_cfg{.keep_warm = Duration::Seconds(1), .miss_mode = RestoreMode::kColdBoot};
-  std::vector<Duration> gaps(3, Duration::Seconds(100));  // all misses
-  KeepAliveStats faasnap_stats = simulator_.Run(gaps, faasnap_cfg);
-  KeepAliveStats cold_stats = simulator_.Run(gaps, cold_cfg);
+  std::vector<Arrival> arrivals(3, Arrival{0, Duration::Seconds(100)});  // all misses
+  HostScheduler faasnap_sched = MakeScheduler(RestoreMode::kFaasnap, Duration::Seconds(1));
+  faasnap_sched.AddFunction(*FindFunction("json"));
+  HostSchedulerStats faasnap_stats = faasnap_sched.Run(arrivals);
+  HostScheduler cold_sched = MakeScheduler(RestoreMode::kColdBoot, Duration::Seconds(1));
+  cold_sched.AddFunction(*FindFunction("json"));
+  HostSchedulerStats cold_stats = cold_sched.Run(arrivals);
   EXPECT_GT(cold_stats.latency_ms.mean(), 10.0 * faasnap_stats.latency_ms.mean());
   EXPECT_GT(cold_stats.latency_ms.mean(), 2000.0);  // boot + init is seconds
 }
 
+TEST_F(KeepAliveTest, IdleVmIsChargedUpToItsKeepAliveHorizon) {
+  // Gaps alternate below and above the 30 s horizon. The VM pins its working
+  // set while it runs, and while idle until it is hit or its horizon passes:
+  // min(gap, keep_warm) per gap after the first, never the whole gap.
+  HostScheduler scheduler = MakeScheduler(RestoreMode::kFaasnap, Duration::Seconds(30));
+  scheduler.AddFunction(*FindFunction("json"));
+  std::vector<Arrival> arrivals = {
+      {0, Duration::Seconds(10)}, {0, Duration::Seconds(300)}, {0, Duration::Seconds(20)},
+      {0, Duration::Seconds(90)}, {0, Duration::Seconds(5)},   {0, Duration::Seconds(600)},
+  };
+  HostSchedulerStats stats = scheduler.Run(arrivals);
+  ASSERT_EQ(stats.warm_hits, 2);
+  ASSERT_EQ(stats.expirations, 3);
+  const double idle_seconds = 30 + 20 + 30 + 5 + 30;
+  const double expected = WorkingSetBytes(scheduler) *
+                          (idle_seconds + stats.latency_ms.sum() / 1000.0) /
+                          stats.span.seconds();
+  EXPECT_NEAR(stats.avg_pool_bytes, expected, expected * 1e-9);
+}
+
 TEST_F(KeepAliveTest, HitRateHelper) {
-  KeepAliveStats stats;
+  HostSchedulerStats stats;
   EXPECT_DOUBLE_EQ(stats.warm_hit_rate(), 0.0);
   stats.invocations = 4;
   stats.warm_hits = 3;

@@ -8,7 +8,6 @@
 
 #include "src/obs/observability.h"
 #include "src/runtime/host_scheduler.h"
-#include "src/runtime/keepalive.h"
 #include "src/storage/device_profiles.h"
 
 namespace faasnap {
@@ -154,44 +153,6 @@ TEST(OpenLoopScheduler, MemoryPressureDemotesMissRestores) {
   EXPECT_EQ(stats.shed(), 0);
   // The backlog drains and pressure recovers once arrivals stop.
   EXPECT_EQ(stats.final_pressure_level, 0);
-}
-
-TEST(OpenLoopKeepAlive, DelegatesToTheSharedEngine) {
-  PlatformConfig platform_config = TestConfig();
-  Platform platform(platform_config);
-  FunctionSpec spec = *FindFunction("json");
-  TraceGenerator generator(spec, platform_config.layout);
-  FunctionSnapshot snapshot = platform.Record(generator, MakeInputA(spec));
-  KeepAliveSimulator simulator(&platform, &snapshot, &generator);
-  KeepAliveConfig config;
-  config.open_loop = true;
-  config.admission.max_concurrency = 4;
-  config.admission.queue_capacity = 64;
-  config.admission.queue_deadline = Duration::Seconds(10);
-  std::vector<Duration> gaps(12, Duration::Millis(1));
-  KeepAliveStats stats = simulator.Run(gaps, config);
-  EXPECT_EQ(stats.arrivals, 12);
-  EXPECT_EQ(stats.invocations + stats.shed(), stats.arrivals);
-  EXPECT_GT(stats.max_in_flight, 1);
-  EXPECT_EQ(stats.shed(), 0);
-  EXPECT_GT(stats.misses, 0);
-  EXPECT_GT(stats.miss_latency_ms.count(), 0);
-}
-
-TEST(OpenLoopKeepAlive, ClosedLoopIgnoresOpenLoopFields) {
-  PlatformConfig platform_config = TestConfig();
-  Platform platform(platform_config);
-  FunctionSpec spec = *FindFunction("json");
-  TraceGenerator generator(spec, platform_config.layout);
-  FunctionSnapshot snapshot = platform.Record(generator, MakeInputA(spec));
-  KeepAliveSimulator simulator(&platform, &snapshot, &generator);
-  KeepAliveConfig config;  // open_loop = false
-  std::vector<Duration> gaps(5, Duration::Seconds(1));
-  KeepAliveStats stats = simulator.Run(gaps, config);
-  EXPECT_EQ(stats.invocations, 5);
-  EXPECT_EQ(stats.arrivals, 0);  // open-loop counters stay zero
-  EXPECT_EQ(stats.shed(), 0);
-  EXPECT_EQ(stats.max_in_flight, 0);
 }
 
 }  // namespace
