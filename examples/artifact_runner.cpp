@@ -9,17 +9,22 @@
 //   ./build/examples/artifact_runner configs/test-burst.json            # E3
 //   ./build/examples/artifact_runner configs/test-remote.json           # E4
 //   ./build/examples/artifact_runner --json configs/test-2inputs.json   # machine-readable
+//   ./build/examples/artifact_runner configs/test-cluster.json          # sharded cluster
+//
+// A restore matrix prints a results table (or, with --json, one JSON object
+// per cell); a cluster scenario prints its ClusterStats summary document.
 //
 // --trace-out=PATH / --metrics-out=PATH / --timeline-out=PATH /
 // --forensics-out=PATH write the Perfetto trace, metrics snapshot, windowed
 // metrics timeline (JSONL), and forensics digest (overriding the config's
-// corresponding fields).
+// corresponding fields) of a restore matrix.
 
 #include <cstdio>
 #include <cstring>
 
-#include "src/daemon/experiment_config.h"
+#include "src/common/json_writer.h"
 #include "src/daemon/experiment_runner.h"
+#include "src/daemon/scenario.h"
 
 using namespace faasnap;
 
@@ -52,7 +57,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Result<ExperimentConfig> config = LoadExperimentConfig(path);
+  Result<Scenario> config = LoadScenario(path);
   if (!config.ok()) {
     std::fprintf(stderr, "config error: %s\n", config.status().ToString().c_str());
     return 1;
@@ -69,6 +74,17 @@ int main(int argc, char** argv) {
   if (forensics_out != nullptr) {
     config->forensics_out = forensics_out;
     config->forensics = true;
+  }
+  if (config->cluster.has_value()) {
+    Result<ClusterStats> stats = RunClusterScenario(*config);
+    if (!stats.ok()) {
+      std::fprintf(stderr, "experiment error: %s\n", stats.status().ToString().c_str());
+      return 1;
+    }
+    JsonWriter w;
+    stats->AppendJson(&w);
+    std::printf("%s\n", w.TakeString().c_str());
+    return 0;
   }
   if (!json) {
     std::printf("running \"%s\": %zu functions x %zu systems x %zu inputs x %d reps%s\n",

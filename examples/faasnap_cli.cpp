@@ -41,20 +41,6 @@ struct CliOptions {
   bool help = false;
 };
 
-Result<RestoreMode> ParseMode(const std::string& name) {
-  for (RestoreMode mode :
-       {RestoreMode::kWarm, RestoreMode::kColdBoot, RestoreMode::kFirecracker,
-        RestoreMode::kCached, RestoreMode::kReap, RestoreMode::kFaasnapConcurrentOnly,
-        RestoreMode::kFaasnapPerRegion, RestoreMode::kFaasnap}) {
-    if (name == RestoreModeName(mode)) {
-      return mode;
-    }
-  }
-  return InvalidArgumentError("unknown mode: " + name +
-                              " (try warm, cold-boot, firecracker, cached, reap, con-paging, "
-                              "per-region, faasnap)");
-}
-
 // Strict numeric parsing: the whole value must be a number. atoi-style silent
 // truncation ("3abc" -> 3, "x" -> 0) turns typos into misconfigured runs.
 Result<long long> ParseInt(const std::string& flag, const std::string& text) {
@@ -171,7 +157,7 @@ int RunCli(const CliOptions& options) {
   TextTable table({"mode", "total (ms)", "setup (ms)", "invoke (ms)", "majors", "uffd",
                    "fetch (MB)", "disk reads"});
   for (const std::string& mode_name : options.modes) {
-    Result<RestoreMode> mode = ParseMode(mode_name);
+    Result<RestoreMode> mode = ParseRestoreMode(mode_name);
     if (!mode.ok()) {
       std::fprintf(stderr, "%s\n", mode.status().ToString().c_str());
       return 1;

@@ -16,17 +16,14 @@ const char* RoutingPolicyName(RoutingPolicy policy) {
   return "unknown";
 }
 
-bool ParseRoutingPolicy(const std::string& name, RoutingPolicy* out) {
-  if (name == "random") {
-    *out = RoutingPolicy::kRandom;
-  } else if (name == "round_robin") {
-    *out = RoutingPolicy::kRoundRobin;
-  } else if (name == "locality") {
-    *out = RoutingPolicy::kLocality;
-  } else {
-    return false;
+Result<RoutingPolicy> ParseRoutingPolicy(const std::string& name) {
+  for (RoutingPolicy policy :
+       {RoutingPolicy::kRandom, RoutingPolicy::kRoundRobin, RoutingPolicy::kLocality}) {
+    if (name == RoutingPolicyName(policy)) {
+      return policy;
+    }
   }
-  return true;
+  return InvalidArgumentError("unknown routing policy: " + name);
 }
 
 namespace {

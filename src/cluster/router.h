@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/status.h"
 #include "src/common/units.h"
 
 namespace faasnap {
@@ -34,7 +35,8 @@ enum class RoutingPolicy {
 };
 
 const char* RoutingPolicyName(RoutingPolicy policy);
-bool ParseRoutingPolicy(const std::string& name, RoutingPolicy* out);
+// Parses "random" | "round_robin" | "locality"; InvalidArgument otherwise.
+Result<RoutingPolicy> ParseRoutingPolicy(const std::string& name);
 
 // What a host holds for one function, best tier first.
 enum class FunctionResidency {

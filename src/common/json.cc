@@ -26,6 +26,11 @@ Result<double> JsonValue::AsDouble() const {
 
 Result<int64_t> JsonValue::AsInt() const {
   ASSIGN_OR_RETURN(double d, AsDouble());
+  // Range-check before the cast: converting a double outside int64_t's range
+  // is undefined behaviour. Both bounds are exact powers of two.
+  if (!(d >= -0x1p63 && d < 0x1p63)) {
+    return InvalidArgumentError("JSON number is out of the int64 range");
+  }
   const auto i = static_cast<int64_t>(d);
   if (static_cast<double>(i) != d) {
     return InvalidArgumentError("JSON number is not an integer");
@@ -100,42 +105,6 @@ bool JsonValue::GetBoolOr(const std::string& key, bool fallback) const {
   }
   Result<bool> b = v->AsBool();
   return b.ok() ? *b : fallback;
-}
-
-Duration JsonValue::GetDurationUsOr(const std::string& key, Duration fallback) const {
-  Result<JsonValue> v = Get(key);
-  if (!v.ok()) {
-    return fallback;
-  }
-  Result<int64_t> i = v->AsInt();
-  return i.ok() ? Duration::Micros(*i) : fallback;
-}
-
-Duration JsonValue::GetDurationMsOr(const std::string& key, Duration fallback) const {
-  Result<JsonValue> v = Get(key);
-  if (!v.ok()) {
-    return fallback;
-  }
-  Result<int64_t> i = v->AsInt();
-  return i.ok() ? Duration::Millis(*i) : fallback;
-}
-
-ByteCount JsonValue::GetByteCountMiBOr(const std::string& key, ByteCount fallback) const {
-  Result<JsonValue> v = Get(key);
-  if (!v.ok()) {
-    return fallback;
-  }
-  Result<int64_t> i = v->AsInt();
-  return i.ok() && *i >= 0 ? MiB(static_cast<uint64_t>(*i)) : fallback;
-}
-
-PageCount JsonValue::GetPageCountOr(const std::string& key, PageCount fallback) const {
-  Result<JsonValue> v = Get(key);
-  if (!v.ok()) {
-    return fallback;
-  }
-  Result<int64_t> i = v->AsInt();
-  return i.ok() && *i >= 0 ? PageCount::FromPages(static_cast<uint64_t>(*i)) : fallback;
 }
 
 namespace {

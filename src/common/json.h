@@ -15,9 +15,7 @@
 #include <variant>
 #include <vector>
 
-#include "src/common/sim_time.h"
 #include "src/common/status.h"
-#include "src/common/units.h"
 
 namespace faasnap {
 
@@ -68,14 +66,6 @@ class JsonValue {
   double GetNumberOr(const std::string& key, double fallback) const;
   int64_t GetIntOr(const std::string& key, int64_t fallback) const;
   bool GetBoolOr(const std::string& key, bool fallback) const;
-  // Unit-typed convenience: the JSON number is interpreted in the unit named
-  // by the conventional key suffix (`*_us` knobs → GetDurationUsOr, `*_mib` →
-  // GetByteCountMiBOr, page counts → GetPageCountOr) and returned as the
-  // strong type, so config plumbing cannot mix the wire unit up with ns/bytes.
-  Duration GetDurationUsOr(const std::string& key, Duration fallback) const;
-  Duration GetDurationMsOr(const std::string& key, Duration fallback) const;
-  ByteCount GetByteCountMiBOr(const std::string& key, ByteCount fallback) const;
-  PageCount GetPageCountOr(const std::string& key, PageCount fallback) const;
 
  private:
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> value_;

@@ -2,7 +2,7 @@
 //
 // Lives in common (rather than metrics) so low-level subsystems — notably the
 // observability layer's trace and metrics exporters — can emit JSON without
-// depending on the report types. metrics/json_writer.h re-exports this and adds
+// depending on the report types. metrics/json_writer.h adds
 // InvocationReport serialization on top.
 
 #ifndef FAASNAP_SRC_COMMON_JSON_WRITER_H_

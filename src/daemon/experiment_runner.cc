@@ -4,11 +4,11 @@
 #include <fstream>
 #include <memory>
 
-#include "src/runtime/platform.h"
-#include "src/metrics/json_writer.h"
+#include "src/common/json_writer.h"
 #include "src/metrics/table.h"
 #include "src/obs/observability.h"
 #include "src/obs/trace_export.h"
+#include "src/runtime/platform.h"
 
 namespace faasnap {
 
@@ -48,54 +48,52 @@ WorkloadInput ResolveInput(const TestInputSpec& spec, const FunctionSpec& functi
 
 }  // namespace
 
-Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
+Result<ExperimentResults> RunExperiment(const Scenario& scenario) {
   ExperimentResults results;
-  results.name = config.name;
+  results.name = scenario.name;
 
   // One bundle for the whole experiment; each repetition (its own Platform and
   // t=0) records onto its own trace track (or timeline epoch).
   std::unique_ptr<Observability> obs;
   std::unique_ptr<std::ofstream> timeline_out;
-  if (!config.trace_out.empty() || !config.metrics_out.empty() ||
-      !config.timeline_out.empty() || !config.forensics_out.empty() || config.forensics) {
+  if (scenario.observed()) {
     obs = std::make_unique<Observability>();
-    if (!config.timeline_out.empty()) {
-      timeline_out = std::make_unique<std::ofstream>(config.timeline_out, std::ios::trunc);
+    if (!scenario.timeline_out.empty()) {
+      timeline_out = std::make_unique<std::ofstream>(scenario.timeline_out, std::ios::trunc);
       if (!timeline_out->good()) {
-        return IoError("opening timeline output " + config.timeline_out);
+        return IoError("opening timeline output " + scenario.timeline_out);
       }
       MetricsTimelineConfig timeline_config;
-      if (config.timeline_window > Duration::Zero()) {
-        timeline_config.window = config.timeline_window;
+      if (scenario.timeline_window > Duration::Zero()) {
+        timeline_config.window = scenario.timeline_window;
       }
       std::ofstream* sink = timeline_out.get();
       obs->timeline.Configure(&obs->metrics, timeline_config,
                               [sink](const std::string& line) { *sink << line << "\n"; });
     }
-    if (config.forensics) {
-      obs->forensics.Configure(config.forensics_config, &obs->metrics);
+    if (scenario.forensics) {
+      obs->forensics.Configure(scenario.forensics_config, &obs->metrics);
     }
   }
 
-  for (const std::string& function_name : config.functions) {
-    ASSIGN_OR_RETURN(FunctionSpec spec, FindFunction(function_name));
-    for (const TestInputSpec& input_spec : config.test_inputs) {
+  for (const FunctionSpec& spec : scenario.functions) {
+    for (const TestInputSpec& input_spec : scenario.test_inputs) {
       // One cell per system; repetitions vary the platform seed.
       std::vector<ExperimentCell> row;
-      for (RestoreMode system : config.systems) {
+      for (RestoreMode system : scenario.systems) {
         ExperimentCell cell;
-        cell.function = function_name;
+        cell.function = spec.name;
         cell.system = std::string(RestoreModeName(system));
         cell.test_input = input_spec.label;
         row.push_back(std::move(cell));
       }
-      for (int rep = 0; rep < config.reps; ++rep) {
-        PlatformConfig platform_config = config.platform;
-        platform_config.seed = config.base_seed + static_cast<uint64_t>(rep) * 7919;
+      for (int rep = 0; rep < scenario.reps; ++rep) {
+        PlatformConfig platform_config = scenario.platform;
+        platform_config.seed = scenario.base_seed + static_cast<uint64_t>(rep) * 7919;
         Platform platform(platform_config);
         if (obs != nullptr) {
           char track[160];
-          std::snprintf(track, sizeof(track), "%s input=%s rep=%d", function_name.c_str(),
+          std::snprintf(track, sizeof(track), "%s input=%s rep=%d", spec.name.c_str(),
                         input_spec.label.c_str(), rep);
           if (!obs->forensics.enabled()) {
             // Under forensics the platform records into the recorder's
@@ -108,10 +106,10 @@ Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
         }
         TraceGenerator generator(spec, platform_config.layout);
         const WorkloadInput record_input =
-            ResolveInput(config.record_input, spec, /*content_seed=*/0xA);
+            ResolveInput(scenario.record_input, spec, /*content_seed=*/0xA);
         FunctionSnapshot snapshot = platform.Record(generator, record_input);
 
-        for (size_t s = 0; s < config.systems.size(); ++s) {
+        for (size_t s = 0; s < scenario.systems.size(); ++s) {
           platform.DropCaches();
           const WorkloadInput test_input = ResolveInput(
               input_spec, spec, 0x7E57 + static_cast<uint64_t>(rep) * 131 + s);
@@ -121,24 +119,24 @@ Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
               obs != nullptr ? obs->spans.Begin(platform.sim()->now(), ObsLane::kDaemon,
                                                 obsname::kExperimentCell, s)
                              : kNoSpan;
-          if (config.parallelism == 1) {
+          if (scenario.parallelism == 1) {
             InvocationReport report =
-                platform.Invoke(snapshot, config.systems[s], generator, test_input);
+                platform.Invoke(snapshot, scenario.systems[s], generator, test_input);
             row[s].total_ms.Record(report.total_time().millis());
             row[s].setup_ms.Record(report.setup_time.millis());
             row[s].invocation_ms.Record(report.invocation_time.millis());
             TallyOutcome(&row[s], report);
             row[s].sample = std::move(report);
-          } else if (!config.admission_enabled) {
+          } else if (!scenario.admission_enabled) {
             // Burst: N simultaneous requests; the cell aggregates per-invocation
             // times across the burst.
             int completed = 0;
-            for (int i = 0; i < config.parallelism; ++i) {
+            for (int i = 0; i < scenario.parallelism; ++i) {
               WorkloadInput per = test_input;
               if (!spec.fixed_input) {
                 per.content_seed += static_cast<uint64_t>(i) * 977;
               }
-              platform.InvokeAsync(snapshot, config.systems[s], generator.Generate(per),
+              platform.InvokeAsync(snapshot, scenario.systems[s], generator.Generate(per),
                                    [&, s](InvocationReport report) {
                                      row[s].total_ms.Record(report.total_time().millis());
                                      row[s].setup_ms.Record(report.setup_time.millis());
@@ -150,7 +148,7 @@ Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
                                    });
             }
             platform.sim()->Run();
-            FAASNAP_CHECK(completed == config.parallelism);
+            FAASNAP_CHECK(completed == scenario.parallelism);
           } else {
             // Admission-controlled burst: the N simultaneous requests enter a
             // bounded deadline queue; overflow and expired waiters resolve as
@@ -166,7 +164,7 @@ Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
               if (!spec.fixed_input) {
                 per.content_seed += request.id * 977;
               }
-              platform.InvokeAsync(snapshot, config.systems[s], generator.Generate(per),
+              platform.InvokeAsync(snapshot, scenario.systems[s], generator.Generate(per),
                                    [&, s, request](InvocationReport report) {
                                      row[s].total_ms.Record(report.total_time().millis());
                                      row[s].setup_ms.Record(report.setup_time.millis());
@@ -185,14 +183,14 @@ Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
                                   ? ResourceExhaustedError("admission queue full")
                                   : DeadlineExceededError("queueing deadline exceeded");
               const InvocationReport report =
-                  platform.ReportShed(snapshot, config.systems[s], request.arrival, outcome,
+                  platform.ReportShed(snapshot, scenario.systems[s], request.arrival, outcome,
                                       std::move(reason));
               TallyOutcome(&row[s], report);
               ++resolved;
             };
             admission = std::make_unique<AdmissionController>(
-                platform.sim(), config.admission, std::move(hooks));
-            for (int i = 0; i < config.parallelism; ++i) {
+                platform.sim(), scenario.admission, std::move(hooks));
+            for (int i = 0; i < scenario.parallelism; ++i) {
               AdmissionRequest request;
               request.id = static_cast<uint64_t>(i);
               request.predicted_bytes = predicted_bytes;
@@ -200,7 +198,7 @@ Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
               admission->Offer(request);
             }
             platform.sim()->Run();
-            FAASNAP_CHECK(resolved == config.parallelism);
+            FAASNAP_CHECK(resolved == scenario.parallelism);
           }
           if (obs != nullptr) {
             obs->spans.End(cell_span, platform.sim()->now());
@@ -214,39 +212,56 @@ Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
   }
 
   if (obs != nullptr) {
-    if (!config.trace_out.empty()) {
-      std::ofstream out(config.trace_out, std::ios::trunc);
+    if (!scenario.trace_out.empty()) {
+      std::ofstream out(scenario.trace_out, std::ios::trunc);
       // Forensics replaces full tracing: export the retained (slowest-K +
       // non-ok) invocations instead of the (empty) run-wide tracer.
       out << (obs->forensics.enabled() ? obs->forensics.ExportRetainedTrace()
                                        : ExportChromeTrace(obs->spans));
       if (!out.good()) {
-        return IoError("writing trace to " + config.trace_out);
+        return IoError("writing trace to " + scenario.trace_out);
       }
     }
-    if (!config.metrics_out.empty()) {
-      std::ofstream out(config.metrics_out, std::ios::trunc);
+    if (!scenario.metrics_out.empty()) {
+      std::ofstream out(scenario.metrics_out, std::ios::trunc);
       out << obs->metrics.ToJson();
       if (!out.good()) {
-        return IoError("writing metrics to " + config.metrics_out);
+        return IoError("writing metrics to " + scenario.metrics_out);
       }
     }
     if (obs->timeline.enabled()) {
       obs->timeline.Flush(SimTime());
       timeline_out->flush();
       if (!timeline_out->good()) {
-        return IoError("writing timeline to " + config.timeline_out);
+        return IoError("writing timeline to " + scenario.timeline_out);
       }
     }
-    if (!config.forensics_out.empty()) {
-      std::ofstream out(config.forensics_out, std::ios::trunc);
+    if (!scenario.forensics_out.empty()) {
+      std::ofstream out(scenario.forensics_out, std::ios::trunc);
       out << obs->forensics.SummaryToJson();
       if (!out.good()) {
-        return IoError("writing forensics to " + config.forensics_out);
+        return IoError("writing forensics to " + scenario.forensics_out);
       }
     }
   }
   return results;
+}
+
+Result<ClusterStats> RunClusterScenario(const Scenario& scenario) {
+  if (scenario.observed()) {
+    return InvalidArgumentError(
+        "trace, metrics, timeline and forensics outputs are not supported in a cluster scenario");
+  }
+  const ClusterScenario& cluster = *scenario.cluster;
+  ClusterConfig config = cluster.config;
+  config.platform = scenario.platform;
+  config.host.admission = scenario.admission;
+  ClusterSimulator simulator(config);
+  for (const FunctionSpec& spec : scenario.functions) {
+    simulator.AddFunction(spec);
+  }
+  return simulator.Run(SampleArrivalMix(scenario.functions.size(), cluster.arrival_count,
+                                        cluster.mix, cluster.workload_seed));
 }
 
 std::string ExperimentResults::ToTable() const {

@@ -1,9 +1,11 @@
-// ExperimentRunner: executes a parsed ExperimentConfig and renders results —
-// the counterpart of the paper artifact's `test.py` driver (Appendix A.4).
+// ExperimentRunner: executes a parsed Scenario and renders results — the
+// counterpart of the paper artifact's `test.py` driver (Appendix A.4).
 //
-// For every (function, test input): one platform per repetition, one record
-// phase, then one test-phase invocation per system with caches dropped between
-// tests (or `parallelism` simultaneous invocations for burst configs).
+// Restore matrix: for every (function, test input), one platform per
+// repetition, one record phase, then one test-phase invocation per system with
+// caches dropped between tests (or `parallelism` simultaneous invocations for
+// burst configs). Cluster scenario: one ClusterSimulator run over the sampled
+// arrival mix.
 
 #ifndef FAASNAP_SRC_DAEMON_EXPERIMENT_RUNNER_H_
 #define FAASNAP_SRC_DAEMON_EXPERIMENT_RUNNER_H_
@@ -12,7 +14,7 @@
 #include <vector>
 
 #include "src/common/histogram.h"
-#include "src/daemon/experiment_config.h"
+#include "src/daemon/scenario.h"
 #include "src/metrics/report.h"
 
 namespace faasnap {
@@ -47,9 +49,14 @@ struct ExperimentResults {
   std::string ToJson() const;
 };
 
-// Runs the whole config. Errors only on configuration problems (unknown
-// functions were already rejected at parse time).
-Result<ExperimentResults> RunExperiment(const ExperimentConfig& config);
+// Runs a restore-matrix scenario. Errors only when an output file cannot be
+// written.
+Result<ExperimentResults> RunExperiment(const Scenario& scenario);
+
+// Runs a cluster scenario (scenario.cluster set) with the scenario's platform
+// and admission settings on every host. InvalidArgument when the scenario
+// asks for observability outputs: shards have no observability hook yet.
+Result<ClusterStats> RunClusterScenario(const Scenario& scenario);
 
 }  // namespace faasnap
 

@@ -1,5 +1,7 @@
 #include "src/metrics/json_writer.h"
 
+#include "src/common/json_writer.h"
+
 namespace faasnap {
 
 std::string InvocationReportToJson(const InvocationReport& report) {

@@ -1,13 +1,12 @@
 // InvocationReport JSON serialization for downstream tooling (plotting scripts,
 // dashboards, the CLI's --json flag). The generic streaming JsonWriter lives in
-// src/common/json_writer.h and is re-exported here for existing includers.
+// src/common/json_writer.h.
 
 #ifndef FAASNAP_SRC_METRICS_JSON_WRITER_H_
 #define FAASNAP_SRC_METRICS_JSON_WRITER_H_
 
 #include <string>
 
-#include "src/common/json_writer.h"
 #include "src/metrics/report.h"
 
 namespace faasnap {

@@ -18,14 +18,4 @@ std::string InvocationReport::OutcomeTag() const {
   return "ok";
 }
 
-void ReportSummary::Add(const InvocationReport& report) {
-  if (function.empty()) {
-    function = report.function;
-    mode = report.mode;
-  }
-  total_ms.Record(report.total_time().millis());
-  setup_ms.Record(report.setup_time.millis());
-  invocation_ms.Record(report.invocation_time.millis());
-}
-
 }  // namespace faasnap

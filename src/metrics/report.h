@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/histogram.h"
 #include "src/common/sim_time.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
@@ -72,17 +71,6 @@ struct InvocationReport {
   // (section 7.3 footprint accounting). Meaningful for single-VM runs.
   PageCount anon_resident_pages;
   PageCount page_cache_pages;
-};
-
-// Mean/stddev across repetitions of the same (function, mode) cell.
-struct ReportSummary {
-  std::string function;
-  std::string mode;
-  RunningStats total_ms;
-  RunningStats setup_ms;
-  RunningStats invocation_ms;
-
-  void Add(const InvocationReport& report);
 };
 
 }  // namespace faasnap

@@ -32,6 +32,21 @@ std::string_view RestoreModeName(RestoreMode mode) {
   return "unknown";
 }
 
+Result<RestoreMode> ParseRestoreMode(std::string_view name) {
+  std::string known;
+  for (RestoreMode mode :
+       {RestoreMode::kWarm, RestoreMode::kColdBoot, RestoreMode::kFirecracker,
+        RestoreMode::kCached, RestoreMode::kReap, RestoreMode::kFaasnapConcurrentOnly,
+        RestoreMode::kFaasnapPerRegion, RestoreMode::kFaasnap}) {
+    if (name == RestoreModeName(mode)) {
+      return mode;
+    }
+    known += (known.empty() ? "" : ", ") + std::string(RestoreModeName(mode));
+  }
+  return InvalidArgumentError("unknown restore mode: " + std::string(name) + " (use " + known +
+                              ")");
+}
+
 Duration RestorePolicy::BaseSetupCost(const RestoreEnv& env) const {
   // All snapshot systems pay the VMM process restore. (Daemon dispatch is
   // accounted by the Platform's serialized request queue.)

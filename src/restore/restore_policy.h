@@ -25,6 +25,7 @@
 #include <memory>
 #include <string_view>
 
+#include "src/common/status.h"
 #include "src/core/function_snapshot.h"
 #include "src/core/platform_config.h"
 #include "src/core/prefetch_loader.h"
@@ -46,6 +47,8 @@ enum class RestoreMode : int {
 };
 
 std::string_view RestoreModeName(RestoreMode mode);
+// Inverse of RestoreModeName; InvalidArgument listing the names otherwise.
+Result<RestoreMode> ParseRestoreMode(std::string_view name);
 
 // Per-invocation environment handed to the policy. All pointers outlive the policy.
 struct RestoreEnv {

@@ -36,18 +36,6 @@ Duration SampleArrivalGap(Rng& rng, Duration mean_gap) {
   return Duration::Nanos(static_cast<int64_t>(ns) + 1);
 }
 
-const char* ArrivalProcessName(ArrivalProcess process) {
-  switch (process) {
-    case ArrivalProcess::kPoisson:
-      return "poisson";
-    case ArrivalProcess::kBursty:
-      return "bursty";
-    case ArrivalProcess::kDiurnal:
-      return "diurnal";
-  }
-  return "unknown";
-}
-
 Result<ArrivalProcess> ParseArrivalProcess(const std::string& name) {
   if (name == "poisson") {
     return ArrivalProcess::kPoisson;

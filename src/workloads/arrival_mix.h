@@ -57,7 +57,6 @@ enum class ArrivalProcess {
   kDiurnal,
 };
 
-const char* ArrivalProcessName(ArrivalProcess process);
 // Parses "poisson" | "bursty" | "diurnal"; InvalidArgument otherwise.
 Result<ArrivalProcess> ParseArrivalProcess(const std::string& name);
 

@@ -9,7 +9,8 @@
 #include <string>
 
 #include "src/cluster/cluster.h"
-#include "src/cluster/cluster_json.h"
+#include "src/daemon/experiment_runner.h"
+#include "src/daemon/scenario.h"
 #include "src/storage/device_profiles.h"
 
 namespace faasnap {
@@ -76,31 +77,22 @@ TEST(ClusterDeterminism, RepeatedRunsAreIdentical) {
 }
 
 TEST(ClusterDeterminism, ShippedConfigLoadsAndRunsDeterministically) {
-  // The shipped cluster config must parse, and a run driven by it must be
+  // The shipped cluster scenario must parse, and a run driven by it must be
   // reproducible thread-count-independently end to end.
-  Result<ClusterExperiment> loaded = NotFoundError("unattempted");
-  for (const char* prefix : {"", "../", "../../", "../../../"}) {
-    loaded = LoadClusterExperiment(std::string(prefix) + "configs/test-cluster.json");
-    if (loaded.ok()) {
-      break;
-    }
-  }
+  Result<Scenario> loaded =
+      LoadScenario(std::string(FAASNAP_SOURCE_DIR) + "/configs/test-cluster.json");
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ASSERT_TRUE(loaded->cluster.has_value());
   ASSERT_GT(loaded->functions.size(), 0u);
 
   const auto run = [&](int worker_threads) {
-    ClusterExperiment experiment = *loaded;
-    experiment.cluster.platform = TestPlatform();  // jitter-free disk for the pin
-    experiment.cluster.worker_threads = worker_threads;
-    ClusterSimulator cluster(experiment.cluster);
-    for (const FunctionSpec& spec : experiment.functions) {
-      cluster.AddFunction(spec);
-    }
-    ClusterStats stats = cluster.Run(
-        SampleArrivalMix(experiment.functions.size(), static_cast<int>(experiment.arrival_count),
-                         experiment.mix, experiment.workload_seed));
+    Scenario scenario = *loaded;
+    scenario.platform = TestPlatform();  // jitter-free disk for the pin
+    scenario.cluster->config.worker_threads = worker_threads;
+    Result<ClusterStats> stats = RunClusterScenario(scenario);
+    EXPECT_TRUE(stats.ok()) << stats.status().message();
     JsonWriter w;
-    stats.AppendJson(&w);
+    stats->AppendJson(&w);
     return w.TakeString();
   };
   EXPECT_EQ(run(1), run(4));

@@ -73,6 +73,17 @@ TEST(JsonValueAccess, TypeChecks) {
   EXPECT_FALSE(v.Has("zzz"));
 }
 
+TEST(JsonValueAccess, AsIntRangeChecksBeforeConverting) {
+  // Out-of-range doubles must not reach the int64_t conversion (undefined
+  // behaviour); -2^63 is exactly representable and converts.
+  for (const char* text : {"1e300", "-1e300", "9223372036854775808"}) {
+    Result<int64_t> i = ParseJson(text)->AsInt();
+    ASSERT_FALSE(i.ok()) << text;
+    EXPECT_EQ(i.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  EXPECT_EQ(*ParseJson("-9223372036854775808")->AsInt(), INT64_MIN);
+}
+
 TEST(JsonValueAccess, DefaultedGetters) {
   JsonValue v = *ParseJson(R"({"s":"x","i":7,"b":true})");
   EXPECT_EQ(v.GetStringOr("s", "d"), "x");

@@ -1,30 +1,33 @@
 #include <gtest/gtest.h>
 
-#include "src/daemon/experiment_config.h"
 #include "src/daemon/experiment_runner.h"
+#include "src/daemon/scenario.h"
 
 namespace faasnap {
 namespace {
 
-Result<ExperimentConfig> Parse(const std::string& text) {
+Result<Scenario> Parse(const std::string& text) {
   ASSIGN_OR_RETURN(JsonValue root, ParseJson(text));
-  return ParseExperimentConfig(root);
+  return ParseScenario(root);
 }
 
-TEST(ExperimentConfig, MinimalConfigGetsDefaults) {
-  Result<ExperimentConfig> config = Parse(R"({"functions": ["json"]})");
+TEST(Scenario, MinimalConfigGetsDefaults) {
+  Result<Scenario> config = Parse(R"({"functions": ["json"]})");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
-  EXPECT_EQ(config->functions, std::vector<std::string>{"json"});
+  ASSERT_EQ(config->functions.size(), 1u);
+  EXPECT_EQ(config->functions[0].name, "json");
   EXPECT_EQ(config->systems.size(), 4u);  // the four paper systems
   EXPECT_EQ(config->reps, 3);
   EXPECT_EQ(config->parallelism, 1);
+  EXPECT_EQ(config->record_input.kind, TestInputSpec::Kind::kInputA);
   ASSERT_EQ(config->test_inputs.size(), 1u);
   EXPECT_EQ(config->test_inputs[0].kind, TestInputSpec::Kind::kInputB);
   EXPECT_EQ(config->platform.disk.name, "nvme-ssd");
+  EXPECT_FALSE(config->cluster.has_value());
 }
 
-TEST(ExperimentConfig, FullConfigParses) {
-  Result<ExperimentConfig> config = Parse(R"({
+TEST(Scenario, FullConfigParses) {
+  Result<Scenario> config = Parse(R"({
     "name": "custom",
     "functions": ["json", "image"],
     "systems": ["faasnap", "reap"],
@@ -52,7 +55,7 @@ TEST(ExperimentConfig, FullConfigParses) {
   EXPECT_EQ(config->base_seed, 9u);
 }
 
-TEST(ExperimentConfig, RejectsBadInput) {
+TEST(Scenario, RejectsBadInput) {
   EXPECT_FALSE(Parse(R"({})").ok());                                   // no functions
   EXPECT_FALSE(Parse(R"({"functions": []})").ok());                    // empty
   EXPECT_FALSE(Parse(R"({"functions": ["nope"]})").ok());              // unknown fn
@@ -63,25 +66,83 @@ TEST(ExperimentConfig, RejectsBadInput) {
   EXPECT_FALSE(Parse(R"([1,2,3])").ok());  // root not an object
 }
 
-TEST(ExperimentConfig, LoadsTheShippedConfigs) {
-  for (const char* path :
-       {"configs/test-2inputs.json", "configs/test-6inputs.json", "configs/test-burst.json",
-        "configs/test-remote.json"}) {
-    // The test may run from the repo root, the build dir, or build/tests.
-    Result<ExperimentConfig> config = NotFoundError("unattempted");
-    for (const char* prefix : {"", "../", "../../", "../../../"}) {
-      config = LoadExperimentConfig(std::string(prefix) + path);
-      if (config.ok()) {
-        break;
-      }
+// Each value parses at an older, untyped parser and then aborts the run (a
+// CHECK in its consumer, a unit-overflow panic, std::length_error) or is
+// silently replaced by its default. All must be InvalidArgument naming the key.
+TEST(Scenario, RejectsHostileValues) {
+  const struct {
+    const char* key;
+    const char* doc;
+  } cases[] = {
+      {"host_cores", R"({"functions": ["json"], "host_cores": 0})"},
+      {"ws_group_size", R"({"functions": ["json"], "ws_group_size": 0})"},
+      {"prefetch_aging_us", R"({"functions": ["json"], "prefetch_aging_us": 10000000000000000})"},
+      {"reps", R"({"functions": ["json"], "reps": "2"})"},
+      {"parallelism", R"({"functions": ["json"], "parallelism": "8"})"},
+      {"cluster.hosts", R"({"functions": ["json"], "cluster": {"hosts": -1}})"},
+      {"cluster.workload.count", R"({"functions": ["json"], "cluster": {"workload": {"count": -1}}})"},
+      {"cluster.workload.mean_gap_us",
+       R"({"functions": ["json"], "cluster": {"workload": {"mean_gap_us": -1000}}})"},
+      {"cluster.workload.burst_mean_on_us",
+       R"({"functions": ["json"],
+           "cluster": {"workload": {"process": "bursty", "burst_mean_on_us": 0}}})"},
+      {"cluster.host.warm_pool_budget_mib",
+       R"({"functions": ["json"], "cluster": {"host": {"warm_pool_budget_mib": 0}}})"},
+      {"admission.max_concurrency",
+       R"({"functions": ["json"], "admission": {"max_concurrency": 0}, "cluster": {}})"},
+  };
+  for (const auto& c : cases) {
+    Result<Scenario> config = Parse(c.doc);
+    ASSERT_FALSE(config.ok()) << c.doc;
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument) << c.doc;
+    EXPECT_NE(config.status().message().find(c.key), std::string::npos)
+        << c.key << " not named in: " << config.status().message();
+  }
+}
+
+TEST(Scenario, ClusterBlockMakesAClusterScenario) {
+  Result<Scenario> config = Parse(R"({
+    "functions": ["json", "image"],
+    "device": "ebs",
+    "admission": {"max_concurrency": 2, "queue_deadline_us": 7000},
+    "cluster": {
+      "hosts": 3,
+      "sync_quantum_us": 2500,
+      "router": {"policy": "round_robin"},
+      "host": {"warm_pool_budget_mib": 64, "keep_warm_us": 9000},
+      "workload": {"count": 50, "process": "diurnal", "mean_gap_us": 300}
     }
-    ASSERT_TRUE(config.ok()) << path << ": " << config.status().ToString();
-    EXPECT_FALSE(config->functions.empty()) << path;
+  })");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  ASSERT_TRUE(config->cluster.has_value());
+  const ClusterScenario& cluster = *config->cluster;
+  EXPECT_EQ(cluster.config.hosts, 3u);
+  EXPECT_EQ(cluster.config.sync_quantum, Duration::Micros(2500));
+  EXPECT_EQ(cluster.config.router.policy, RoutingPolicy::kRoundRobin);
+  EXPECT_EQ(cluster.config.host.warm_pool_budget_bytes, MiB(64));
+  EXPECT_EQ(cluster.config.host.keep_warm, Duration::Micros(9000));
+  EXPECT_EQ(cluster.arrival_count, 50);
+  EXPECT_EQ(cluster.mix.process, ArrivalProcess::kDiurnal);
+  EXPECT_EQ(cluster.mix.mean_gap, Duration::Micros(300));
+  // The shared keys land where the single-host matrix reads them too.
+  EXPECT_EQ(config->platform.disk.name, "ebs-io2");
+  EXPECT_EQ(config->admission.max_concurrency, 2);
+  EXPECT_EQ(config->admission.queue_deadline, Duration::Micros(7000));
+}
+
+TEST(Scenario, LoadsTheShippedConfigs) {
+  for (const std::string name : {"test-2inputs", "test-6inputs", "test-burst", "test-chaos",
+                                 "test-cluster", "test-remote", "trace-smoke"}) {
+    Result<Scenario> config =
+        LoadScenario(std::string(FAASNAP_SOURCE_DIR) + "/configs/" + name + ".json");
+    ASSERT_TRUE(config.ok()) << name << ": " << config.status().ToString();
+    EXPECT_FALSE(config->functions.empty()) << name;
+    EXPECT_EQ(config->cluster.has_value(), name == "test-cluster") << name;
   }
 }
 
 TEST(ExperimentRunner, RunsATinyConfigEndToEnd) {
-  Result<ExperimentConfig> config = Parse(R"({
+  Result<Scenario> config = Parse(R"({
     "name": "tiny",
     "functions": ["json"],
     "systems": ["firecracker", "faasnap"],
@@ -107,7 +168,7 @@ TEST(ExperimentRunner, RunsATinyConfigEndToEnd) {
 }
 
 TEST(ExperimentRunner, BurstConfigAggregatesPerInvocation) {
-  Result<ExperimentConfig> config = Parse(R"({
+  Result<Scenario> config = Parse(R"({
     "functions": ["json"],
     "systems": ["faasnap"],
     "test_inputs": ["A"],
@@ -125,7 +186,7 @@ TEST(ExperimentRunner, AdmissionBurstShedsTypedOutcomes) {
   // An 8-wide burst through a 1-slot admission controller with a 1-deep queue
   // and a microsecond deadline: one runs, one queues and expires, six find the
   // queue full. Sheds land in the cell and in both renderings.
-  Result<ExperimentConfig> config = Parse(R"({
+  Result<Scenario> config = Parse(R"({
     "functions": ["json"],
     "systems": ["faasnap"],
     "test_inputs": ["A"],
@@ -149,8 +210,17 @@ TEST(ExperimentRunner, AdmissionBurstShedsTypedOutcomes) {
   EXPECT_NE(results->ToJson().find("\"shed\":7"), std::string::npos);
 }
 
+TEST(ExperimentRunner, ClusterScenarioRejectsObservabilityOutputs) {
+  Result<Scenario> config =
+      Parse(R"({"functions": ["json"], "trace_out": "cluster.trace.json", "cluster": {}})");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  Result<ClusterStats> stats = RunClusterScenario(*config);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ExperimentRunner, RatioInputsScaleWork) {
-  Result<ExperimentConfig> config = Parse(R"({
+  Result<Scenario> config = Parse(R"({
     "functions": ["image"],
     "systems": ["faasnap"],
     "test_inputs": ["0.5x", "4x"],

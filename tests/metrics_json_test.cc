@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/json_writer.h"
+
 namespace faasnap {
 namespace {
 

@@ -45,24 +45,6 @@ TEST(FormatCell, PrintfStyle) {
   EXPECT_EQ(FormatCell("%s/%d", "x", 7), "x/7");
 }
 
-TEST(ReportSummary, AccumulatesStats) {
-  InvocationReport r1;
-  r1.function = "image";
-  r1.mode = "faasnap";
-  r1.setup_time = Duration::Millis(40);
-  r1.invocation_time = Duration::Millis(100);
-  InvocationReport r2 = r1;
-  r2.invocation_time = Duration::Millis(120);
-  ReportSummary summary;
-  summary.Add(r1);
-  summary.Add(r2);
-  EXPECT_EQ(summary.function, "image");
-  EXPECT_EQ(summary.total_ms.count(), 2);
-  EXPECT_DOUBLE_EQ(summary.total_ms.mean(), 150.0);
-  EXPECT_DOUBLE_EQ(summary.setup_ms.mean(), 40.0);
-  EXPECT_DOUBLE_EQ(summary.invocation_ms.mean(), 110.0);
-}
-
 TEST(InvocationReport, TotalIsSetupPlusInvocation) {
   InvocationReport r;
   r.setup_time = Duration::Millis(45);
