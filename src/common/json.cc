@@ -151,9 +151,15 @@ class Parser {
     }
     switch (text_[pos_]) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (depth_ == kJsonMaxDepth) {
+          return Error("nesting deeper than " + std::to_string(kJsonMaxDepth) + " levels");
+        }
+        ++depth_;
+        Result<JsonValue> nested = text_[pos_] == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"': {
         ASSIGN_OR_RETURN(std::string s, ParseString());
         return JsonValue(std::move(s));
@@ -330,6 +336,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // containers open around pos_
 };
 
 }  // namespace

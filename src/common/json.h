@@ -71,6 +71,12 @@ class JsonValue {
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> value_;
 };
 
+// Deepest array/object nesting ParseJson accepts; deeper input is
+// InvalidArgument. The parser recurses once per level, so without a bound a
+// hostile file picks the stack depth. Every document the repo reads or writes
+// nests at most 5 levels.
+inline constexpr int kJsonMaxDepth = 128;
+
 // Parses a complete JSON document (trailing whitespace allowed, nothing else).
 Result<JsonValue> ParseJson(const std::string& text);
 

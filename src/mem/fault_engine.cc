@@ -110,62 +110,74 @@ void FaultEngine::NoteBatchInstall(uint64_t pages) {
   }
 }
 
-void FaultEngine::FinishFault(PageIndex page, FaultClass cls, SimTime fault_start,
+bool FaultEngine::FinishFault(PageIndex page, FaultClass cls, SimTime fault_start,
                               Duration tail_cost, Duration extra_wait, SpanId fault_span,
-                              std::function<void(FaultClass)> done) {
-  FinishFaultRun(PageRange{page, 1}, page, cls, PageInstallState::kPresent, fault_start,
-                 tail_cost, extra_wait, fault_span, std::move(done));
+                              std::function<void(FaultClass)> done, FaultClass* retired) {
+  return FinishFaultRun(PageRange{page, 1}, page, cls, PageInstallState::kPresent, fault_start,
+                        tail_cost, extra_wait, fault_span, std::move(done), retired);
 }
 
-void FaultEngine::FinishFaultRun(PageRange run, PageIndex page, FaultClass cls,
+bool FaultEngine::FinishFaultRun(PageRange run, PageIndex page, FaultClass cls,
                                  PageInstallState neighbor_state, SimTime fault_start,
                                  Duration tail_cost, Duration extra_wait, SpanId fault_span,
-                                 std::function<void(FaultClass)> done) {
+                                 std::function<void(FaultClass)> done, FaultClass* retired) {
   // Called at IO-completion (or immediately for non-blocking faults); the guest
   // resumes after `tail_cost` of post-IO kernel work plus any scheduler-induced
   // stall (`extra_wait`, e.g. kvm_vcpu_block context switches on uffd faults).
-  sim_->ScheduleAfter(tail_cost + extra_wait, [this, run, page, cls, neighbor_state,
-                                               fault_start, extra_wait, fault_span,
-                                               done = std::move(done)] {
-    const Duration handling = (sim_->now() - fault_start) - extra_wait;
-    metrics_.RecordFault(cls, handling, extra_wait);
-    if (spans_ != nullptr) {
-      spans_->End(fault_span, sim_->now(), static_cast<uint64_t>(cls));
-    }
-    if (class_counters_[static_cast<int>(cls)] != nullptr) {
-      class_counters_[static_cast<int>(cls)]->Add(1);
-      if (class_histograms_[static_cast<int>(cls)] != nullptr) {
-        class_histograms_[static_cast<int>(cls)]->Record(handling);
-      }
-    }
-    if (cls == FaultClass::kUffdHandled) {
-      // The handler resolved the fault with UFFDIO_COPY: anonymous page copies
-      // (the whole run when the batched lever produced one).
-      space_->NoteAnonCopies(run.count);
-      if (fault_path_.batched_uffd_install) {
-        NoteBatchInstall(run.count);
-      }
-    }
-    if (cls == FaultClass::kHugeInstall) {
-      metrics_.huge_installs++;
-      metrics_.huge_installed_pages += PageCount::FromPages(run.count);
-      if (huge_installs_ctr_ != nullptr) {
-        huge_installs_ctr_->Add(1);
-        huge_pages_ctr_->Add(static_cast<int64_t>(run.count));
-      }
-    }
-    if (cls == FaultClass::kInFlightWait && run.count > 1) {
-      metrics_.coalesced_pages += PageCount::FromPages(run.count - 1);
-      if (coalesced_ctr_ != nullptr) {
-        coalesced_ctr_->Add(static_cast<int64_t>(run.count - 1));
-      }
-    }
-    if (run.count > 1) {
-      space_->SetInstallState(run, neighbor_state);
-    }
-    space_->SetInstallState(page, PageInstallState::kPresent);
+  const SimTime resume = sim_->now() + tail_cost + extra_wait;
+  if (retired != nullptr && sim_->TryFastForward(resume)) {
+    RetireFault(run, page, cls, neighbor_state, fault_start, extra_wait, fault_span);
+    *retired = cls;
+    return true;
+  }
+  sim_->Schedule(resume, [this, run, page, cls, neighbor_state, fault_start, extra_wait,
+                          fault_span, done = std::move(done)] {
+    RetireFault(run, page, cls, neighbor_state, fault_start, extra_wait, fault_span);
     done(cls);
   });
+  return false;
+}
+
+void FaultEngine::RetireFault(PageRange run, PageIndex page, FaultClass cls,
+                              PageInstallState neighbor_state, SimTime fault_start,
+                              Duration extra_wait, SpanId fault_span) {
+  const Duration handling = (sim_->now() - fault_start) - extra_wait;
+  metrics_.RecordFault(cls, handling, extra_wait);
+  if (spans_ != nullptr) {
+    spans_->End(fault_span, sim_->now(), static_cast<uint64_t>(cls));
+  }
+  if (class_counters_[static_cast<int>(cls)] != nullptr) {
+    class_counters_[static_cast<int>(cls)]->Add(1);
+    if (class_histograms_[static_cast<int>(cls)] != nullptr) {
+      class_histograms_[static_cast<int>(cls)]->Record(handling);
+    }
+  }
+  if (cls == FaultClass::kUffdHandled) {
+    // The handler resolved the fault with UFFDIO_COPY: anonymous page copies
+    // (the whole run when the batched lever produced one).
+    space_->NoteAnonCopies(run.count);
+    if (fault_path_.batched_uffd_install) {
+      NoteBatchInstall(run.count);
+    }
+  }
+  if (cls == FaultClass::kHugeInstall) {
+    metrics_.huge_installs++;
+    metrics_.huge_installed_pages += PageCount::FromPages(run.count);
+    if (huge_installs_ctr_ != nullptr) {
+      huge_installs_ctr_->Add(1);
+      huge_pages_ctr_->Add(static_cast<int64_t>(run.count));
+    }
+  }
+  if (cls == FaultClass::kInFlightWait && run.count > 1) {
+    metrics_.coalesced_pages += PageCount::FromPages(run.count - 1);
+    if (coalesced_ctr_ != nullptr) {
+      coalesced_ctr_->Add(static_cast<int64_t>(run.count - 1));
+    }
+  }
+  if (run.count > 1) {
+    space_->SetInstallState(run, neighbor_state);
+  }
+  space_->SetInstallState(page, PageInstallState::kPresent);
 }
 
 PageRange FaultEngine::TrimToUninstalled(PageRange run, PageIndex page) const {
@@ -220,7 +232,8 @@ void FaultEngine::FailAccess(PageIndex page, SpanId fault_span, const Status& st
   failure_sink_(status);
 }
 
-bool FaultEngine::AccessSlow(PageIndex page, std::function<void(FaultClass)> done) {
+bool FaultEngine::AccessSlow(PageIndex page, std::function<void(FaultClass)> done,
+                             FaultClass* retired) {
   const PageInstallState state = space_->install_state(page);
   const SimTime fault_start = sim_->now();
   const SpanId fault_span =
@@ -230,11 +243,10 @@ bool FaultEngine::AccessSlow(PageIndex page, std::function<void(FaultClass)> don
 
   if (state == PageInstallState::kSoftPresent) {
     // Host PTE installed by UFFDIO_COPY; one cheap guest-dimension fault remains.
-    FinishFault(page, FaultClass::kUffdPreinstalled, fault_start,
-                DisperseCost(costs_.cost_dispersion, costs_.uffd_preinstalled_fault, page,
-                             FaultClass::kUffdPreinstalled),
-                Duration::Zero(), fault_span, std::move(done));
-    return false;
+    return FinishFault(page, FaultClass::kUffdPreinstalled, fault_start,
+                       DisperseCost(costs_.cost_dispersion, costs_.uffd_preinstalled_fault,
+                                    page, FaultClass::kUffdPreinstalled),
+                       Duration::Zero(), fault_span, std::move(done), retired);
   }
 
   // Not present. userfaultfd interception takes priority over the kernel path.
@@ -295,12 +307,11 @@ bool FaultEngine::AccessSlow(PageIndex page, std::function<void(FaultClass)> don
     const PageRange region = space_->HugeRegionOf(page);
     if (HugeInstallable(region)) {
       space_->SetHugeRegionState(page, HugeRegionState::kInstalled);
-      FinishFaultRun(region, page, FaultClass::kHugeInstall, PageInstallState::kPresent,
-                     fault_start,
-                     DisperseCost(costs_.cost_dispersion, costs_.huge_fault, page,
-                                  FaultClass::kHugeInstall),
-                     Duration::Zero(), fault_span, std::move(done));
-      return false;
+      return FinishFaultRun(region, page, FaultClass::kHugeInstall, PageInstallState::kPresent,
+                            fault_start,
+                            DisperseCost(costs_.cost_dispersion, costs_.huge_fault, page,
+                                         FaultClass::kHugeInstall),
+                            Duration::Zero(), fault_span, std::move(done), retired);
     }
     space_->SetHugeRegionState(page, HugeRegionState::kSplit);
     metrics_.huge_splits++;
@@ -313,25 +324,23 @@ bool FaultEngine::AccessSlow(PageIndex page, std::function<void(FaultClass)> don
   const PageBacking backing = space_->Resolve(page);
   switch (backing.kind) {
     case BackingKind::kAnonymous:
-      FinishFault(page, FaultClass::kAnonymous, fault_start,
-                  DisperseCost(costs_.cost_dispersion, costs_.anonymous_fault, page,
-                               FaultClass::kAnonymous) +
-                      split_extra,
-                  Duration::Zero(), fault_span, std::move(done));
-      return false;
+      return FinishFault(page, FaultClass::kAnonymous, fault_start,
+                         DisperseCost(costs_.cost_dispersion, costs_.anonymous_fault, page,
+                                      FaultClass::kAnonymous) +
+                             split_extra,
+                         Duration::Zero(), fault_span, std::move(done), retired);
     case BackingKind::kFile: {
       const PageCache::PageState cache_state = cache_->GetState(backing.file, backing.file_page);
       if (cache_state == PageCache::PageState::kPresent) {
         const bool sequential = page == last_minor_page_ + 1;
         last_minor_page_ = page;
-        FinishFault(page, FaultClass::kMinor, fault_start,
-                    DisperseCost(costs_.cost_dispersion,
-                                 sequential ? costs_.minor_fault_sequential
-                                            : costs_.minor_fault,
-                                 page, FaultClass::kMinor) +
-                        split_extra,
-                    Duration::Zero(), fault_span, std::move(done));
-        return false;
+        return FinishFault(page, FaultClass::kMinor, fault_start,
+                           DisperseCost(costs_.cost_dispersion,
+                                        sequential ? costs_.minor_fault_sequential
+                                                   : costs_.minor_fault,
+                                        page, FaultClass::kMinor) +
+                               split_extra,
+                           Duration::Zero(), fault_span, std::move(done), retired);
       }
       // Coalescing lever: the page is covered by someone else's in-flight IO.
       // Instead of retiring just this page (and paying a wait per neighbor as

@@ -66,16 +66,24 @@ class FaultEngine {
   void RegisterUffd(PageRangeSet region, UffdHandler* handler);
 
   // Performs a guest access to `page`.
-  //  * Returns true if the access needed no fault (already installed); `done` is
-  //    NOT called — the caller continues synchronously (this keeps hot loops from
-  //    flooding the event queue).
+  //  * Returns true if the access retired synchronously; `done` is NOT called —
+  //    the caller continues in line (this keeps hot loops from flooding the
+  //    event queue). Either the page was already installed (no fault), or —
+  //    only when `retired` is non-null — a fixed-cost fault (uffd-preinstalled,
+  //    anonymous, page-cache minor, huge-install) retired inline: the clock was
+  //    fast-forwarded to its end and it was recorded exactly as the evented
+  //    retire would have. `*retired` then holds the class (kNoFault or the
+  //    fault's).
   //  * Returns false if a fault is in progress; `done(fault_class)` fires on the
   //    sim clock once the access retires.
+  // Pass a non-null `retired` only from the last action of an event callback;
+  // Simulation::TryFastForward checks the rest of the fast-forward rule.
   //
   // The no-fault check stays inline so the overwhelmingly common "page already
   // installed" case costs a lookup and a counter bump; the fault machinery
   // (including span recording) lives out of line in AccessSlow.
-  bool Access(PageIndex page, std::function<void(FaultClass)> done) {
+  bool Access(PageIndex page, std::function<void(FaultClass)> done,
+              FaultClass* retired = nullptr) {
     if (space_->install_state(page) == PageInstallState::kPresent) {
       // No-faults are counted (including the registry counter) but never enter
       // the handling-time histograms: a zero-duration sample per touched page
@@ -84,9 +92,12 @@ class FaultEngine {
       if (class_counters_[0] != nullptr) {
         class_counters_[0]->Add(1);
       }
+      if (retired != nullptr) {
+        *retired = FaultClass::kNoFault;
+      }
       return true;
     }
-    return AccessSlow(page, std::move(done));
+    return AccessSlow(page, std::move(done), retired);
   }
 
   // Makes a file page readable through the page cache (issuing a device read with
@@ -143,20 +154,29 @@ class FaultEngine {
 
  private:
   // The not-present tail of Access: classifies and retires the fault.
-  bool AccessSlow(PageIndex page, std::function<void(FaultClass)> done);
+  bool AccessSlow(PageIndex page, std::function<void(FaultClass)> done, FaultClass* retired);
 
-  void FinishFault(PageIndex page, FaultClass cls, SimTime fault_start, Duration tail_cost,
-                   Duration extra_wait, SpanId fault_span,
-                   std::function<void(FaultClass)> done);
+  bool FinishFault(PageIndex page, FaultClass cls, SimTime fault_start, Duration tail_cost,
+                   Duration extra_wait, SpanId fault_span, std::function<void(FaultClass)> done,
+                   FaultClass* retired = nullptr);
 
   // Run-granular retire (the lever paths): one fault sample for `page`, with
   // every other page of `run` installed as `neighbor_state` in the same event
   // (kPresent for huge installs and coalesced runs, kSoftPresent for batched
-  // uffd copies the guest has not touched yet).
-  void FinishFaultRun(PageRange run, PageIndex page, FaultClass cls,
+  // uffd copies the guest has not touched yet). With a non-null `retired` the
+  // fault retires inline when Simulation::TryFastForward allows it: returns
+  // true with `*retired` set and `done` dropped. Otherwise schedules the
+  // retire event and returns false.
+  bool FinishFaultRun(PageRange run, PageIndex page, FaultClass cls,
                       PageInstallState neighbor_state, SimTime fault_start, Duration tail_cost,
                       Duration extra_wait, SpanId fault_span,
-                      std::function<void(FaultClass)> done);
+                      std::function<void(FaultClass)> done, FaultClass* retired = nullptr);
+
+  // The retire body shared by the evented and inline paths: fault metrics,
+  // span end, class counter and histogram, lever accounting, install state.
+  void RetireFault(PageRange run, PageIndex page, FaultClass cls,
+                   PageInstallState neighbor_state, SimTime fault_start, Duration extra_wait,
+                   SpanId fault_span);
 
   // Clamps `run` to the maximal contiguous sub-run around `page` whose pages
   // are still uninstalled and share `page`'s mapping.

@@ -1,5 +1,7 @@
 #include "src/sim/simulation.h"
 
+#include <limits>
+
 namespace faasnap {
 
 void Simulation::Cancel(EventId id) {
@@ -21,14 +23,19 @@ void Simulation::Cancel(EventId id) {
 }
 
 uint64_t Simulation::Run() {
+  in_run_loop_ = true;
+  run_deadline_ = SimTime::FromNanos(std::numeric_limits<int64_t>::max());
   uint64_t fired = 0;
-  while (Step()) {
+  while (FireNext()) {
     ++fired;
   }
+  in_run_loop_ = false;
   return fired;
 }
 
 uint64_t Simulation::RunUntil(SimTime deadline) {
+  in_run_loop_ = true;
+  run_deadline_ = deadline;
   uint64_t fired = 0;
   PendingEvent ev;
   while (PopNext(&ev)) {
@@ -36,15 +43,16 @@ uint64_t Simulation::RunUntil(SimTime deadline) {
       // Put it back and stop; clock advances to the deadline.
       HeapPush(ev);
       now_ = deadline;
-      return fired;
+      break;
     }
     now_ = ev.when;
     FireSlot(ev.slot());
     ++processed_;
     ++fired;
   }
-  // Queue drained before the deadline: the clock still advances to it.
+  // The clock lands on the deadline even if the queue drained before it.
   now_ = Max(now_, deadline);
+  in_run_loop_ = false;
   return fired;
 }
 

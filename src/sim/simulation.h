@@ -11,6 +11,23 @@
 // host on its own worker thread and synchronizes them at conservative
 // virtual-time barriers, so multi-host runs scale across cores while each
 // engine instance stays single-threaded and bit-reproducible.
+//
+// Fast-forward (temporal decoupling bounded by the queue head). An actor whose
+// next step would be "schedule an event at t, then return to the loop" may
+// instead call TryFastForward(t) and, on success, do that event's work in line.
+// This is exact, not approximate: the clock moves only when that event would be
+// the next to fire anyway, so nothing else can observe the difference. The rule:
+//  * the caller runs inside Run() or RunUntil(), never inside a bare Step() or
+//    outside a run loop (whose callers may act between events);
+//  * t is at or before the RunUntil deadline (an epoch's horizon is a promise
+//    to the code that resumes after it);
+//  * t is strictly before the queue head's time: at an equal time the event
+//    already queued would win the FIFO tie (a cancelled head counts as live);
+//  * the caller does the skipped event's work as the last action of the
+//    current event, so nothing runs between "now" and t.
+// Fast-forwards fire no event and do not count in processed_events(). The Vm
+// (compute bursts, trailing compute) and the FaultEngine (fixed-cost faults)
+// are the only callers.
 
 #ifndef FAASNAP_SRC_SIM_SIMULATION_H_
 #define FAASNAP_SRC_SIM_SIMULATION_H_
@@ -58,8 +75,14 @@ class Simulation {
   // (or `deadline` if the queue drained earlier and events remain beyond it).
   uint64_t RunUntil(SimTime deadline);
 
-  // Fires exactly one event. Returns false if the queue is empty.
+  // Fires exactly one event. Returns false if the queue is empty. Nothing the
+  // event does may fast-forward: the caller may act before the next Step().
   bool Step();
+
+  // Moves the clock to `t` (>= now()) without an event, under the fast-forward
+  // rule in the header comment. Returns false and leaves the clock alone when
+  // the rule does not allow it; the caller then schedules the event instead.
+  bool TryFastForward(SimTime t);
 
   bool empty() const { return live_ == 0; }
   uint64_t processed_events() const { return processed_; }
@@ -132,6 +155,9 @@ class Simulation {
   // Pops the next non-cancelled event, or returns false.
   bool PopNext(PendingEvent* out);
 
+  // Pops and fires the next event; the shared body of Step() and Run().
+  bool FireNext();
+
   // Invokes the slot's callback in place and then recycles the slot. The slab
   // is chunked (addresses are stable), so the closure never has to be moved
   // out before the call even though the callback may itself schedule events
@@ -151,6 +177,11 @@ class Simulation {
   }
 
   SimTime now_;
+  // Fast-forward bound: true only while Run() or RunUntil() fires events, and
+  // then TryFastForward may not pass run_deadline_. Leaving any loop, and any
+  // Step(), clears it, so a nested loop can only turn fast-forward off.
+  bool in_run_loop_ = false;
+  SimTime run_deadline_;
   uint64_t next_seq_ = 0;
   uint64_t processed_ = 0;
   uint64_t live_ = 0;
@@ -281,7 +312,7 @@ inline bool Simulation::PopNext(PendingEvent* out) {
   return false;
 }
 
-inline bool Simulation::Step() {
+inline bool Simulation::FireNext() {
   PendingEvent ev;
   if (!PopNext(&ev)) {
     return false;
@@ -289,6 +320,25 @@ inline bool Simulation::Step() {
   now_ = ev.when;
   FireSlot(ev.slot());
   ++processed_;
+  return true;
+}
+
+inline bool Simulation::Step() {
+  in_run_loop_ = false;
+  return FireNext();
+}
+
+inline bool Simulation::TryFastForward(SimTime t) {
+  FAASNAP_CHECK(now_ <= t);
+  if (!in_run_loop_ || run_deadline_ < t) {
+    return false;
+  }
+  // The raw heap root, without PopNext's skip of cancelled entries: a cancelled
+  // head only makes the bound more conservative, and peeking stays O(1).
+  if (heap_.size() > kHeapPad && !(t < heap_[kHeapPad].when)) {
+    return false;
+  }
+  now_ = t;
   return true;
 }
 

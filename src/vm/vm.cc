@@ -4,16 +4,6 @@
 
 namespace faasnap {
 
-struct Vm::RunState {
-  const InvocationTrace* trace = nullptr;
-  size_t next_op = 0;
-  bool compute_done = false;  // compute of ops[next_op] already performed
-  SimTime started;
-  PageRangeSet written;
-  Status status;
-  std::function<void(InvocationResult)> done;
-};
-
 Vm::Vm(Simulation* sim, FaultEngine* engine, CpuModel* cpu, int vcpus)
     : sim_(sim), engine_(engine), cpu_(cpu), vcpus_(vcpus) {
   FAASNAP_CHECK(sim_ != nullptr && engine_ != nullptr && cpu_ != nullptr);
@@ -24,79 +14,93 @@ void Vm::RunInvocation(const InvocationTrace& trace,
                        std::function<void(InvocationResult)> done) {
   FAASNAP_CHECK(!running_ && "one invocation at a time per Vm");
   running_ = true;
-  auto state = std::make_shared<RunState>();
-  state->trace = &trace;
-  state->started = sim_->now();
-  state->done = std::move(done);
+  trace_ = &trace;
+  next_op_ = 0;
+  compute_done_ = false;
+  started_ = sim_->now();
+  written_ = PageRangeSet();
+  status_ = OkStatus();
+  done_ = std::move(done);
   for (int i = 0; i < vcpus_; ++i) {
     cpu_->AddRunnable();
   }
   // Terminal restore failures (a read error that survived retries/failover)
   // surface here instead of retiring the access; the invocation aborts with the
   // typed status rather than hanging on a page that will never arrive.
-  engine_->set_failure_sink([this, state](const Status& status) { Abort(state, status); });
-  Step(std::move(state));
+  engine_->set_failure_sink([this](const Status& status) { Abort(status); });
+  Step(/*may_advance=*/false);
 }
 
-void Vm::Abort(std::shared_ptr<RunState> state, const Status& status) {
+void Vm::Abort(const Status& status) {
   FAASNAP_CHECK(running_);
   FAASNAP_CHECK(!status.ok());
-  state->status = status;
-  Finish(std::move(state));
+  status_ = status;
+  Finish();
 }
 
-void Vm::Step(std::shared_ptr<RunState> state) {
-  // Iterative loop: synchronous accesses (already-installed pages) and zero-compute
-  // ops stay in this loop; anything that takes time schedules a continuation.
-  while (state->next_op < state->trace->ops.size()) {
-    const TraceOp& op = state->trace->ops[state->next_op];
-    if (!state->compute_done && op.compute > Duration::Zero()) {
-      state->compute_done = true;
-      sim_->ScheduleAfter(cpu_->ScaleCompute(op.compute),
-                          [this, state]() mutable { Step(std::move(state)); });
-      return;
+void Vm::Step(bool may_advance) {
+  // Iterative loop: synchronous accesses (already-installed pages), zero-compute
+  // ops and, when `may_advance`, work retired by fast-forward stay in this loop;
+  // anything else that takes time schedules a continuation.
+  while (next_op_ < trace_->ops.size()) {
+    const TraceOp& op = trace_->ops[next_op_];
+    if (!compute_done_ && op.compute > Duration::Zero()) {
+      const SimTime burst_end = sim_->now() + cpu_->ScaleCompute(op.compute);
+      if (!may_advance || !sim_->TryFastForward(burst_end)) {
+        compute_done_ = true;
+        sim_->Schedule(burst_end, [this] { Step(/*may_advance=*/true); });
+        return;
+      }
     }
-    state->compute_done = false;
+    compute_done_ = false;
     if (op.is_write) {
-      state->written.AddPage(op.page);
+      written_.AddPage(op.page);
     }
     const PageIndex page = op.page;
-    state->next_op++;
-    const bool sync = engine_->Access(page, [this, state, page](FaultClass cls) mutable {
-      if (observer_) {
-        observer_(page, cls);
-      }
-      Step(std::move(state));
-    });
-    if (!sync) {
-      return;  // continuation will re-enter Step
+    next_op_++;
+    FaultClass cls = FaultClass::kNoFault;
+    const bool retired = engine_->Access(
+        page,
+        [this, page](FaultClass fault_class) {
+          if (observer_) {
+            observer_(page, fault_class);
+          }
+          Step(/*may_advance=*/true);
+        },
+        may_advance ? &cls : nullptr);
+    if (!retired) {
+      return;  // the continuation re-enters Step
     }
     if (observer_) {
-      observer_(page, FaultClass::kNoFault);
+      observer_(page, cls);
     }
   }
-  if (state->trace->trailing_compute > Duration::Zero()) {
-    const Duration tail = cpu_->ScaleCompute(state->trace->trailing_compute);
-    // Consume trailing_compute exactly once: clear it via a flag on the state.
-    auto finished = state;
-    sim_->ScheduleAfter(tail, [this, finished]() mutable { Finish(std::move(finished)); });
-    return;
+  if (trace_->trailing_compute > Duration::Zero()) {
+    const SimTime end = sim_->now() + cpu_->ScaleCompute(trace_->trailing_compute);
+    if (!may_advance || !sim_->TryFastForward(end)) {
+      sim_->Schedule(end, [this] { Finish(); });
+      return;
+    }
   }
-  Finish(std::move(state));
+  Finish();
 }
 
-void Vm::Finish(std::shared_ptr<RunState> state) {
+void Vm::Finish() {
   for (int i = 0; i < vcpus_; ++i) {
     cpu_->RemoveRunnable();
   }
   running_ = false;
   engine_->set_failure_sink(nullptr);
   InvocationResult result;
-  result.elapsed = sim_->now() - state->started;
-  result.written_pages = std::move(state->written);
-  result.access_count = state->trace->ops.size();
-  result.status = std::move(state->status);
-  state->done(result);
+  result.elapsed = sim_->now() - started_;
+  result.written_pages = std::move(written_);
+  result.access_count = trace_->ops.size();
+  result.status = std::move(status_);
+  // Moved out first: `done` may start the next invocation on this Vm, which
+  // reinitializes every field above.
+  std::function<void(InvocationResult)> done = std::move(done_);
+  done_ = nullptr;
+  done(std::move(result));
 }
 
 }  // namespace faasnap

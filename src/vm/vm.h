@@ -9,7 +9,6 @@
 #define FAASNAP_SRC_VM_VM_H_
 
 #include <functional>
-#include <memory>
 
 #include "src/common/page_range.h"
 #include "src/mem/fault_engine.h"
@@ -22,7 +21,8 @@ namespace faasnap {
 class Vm {
  public:
   struct InvocationResult {
-    Duration elapsed;             // wall-clock from start to completion/abort
+    // Simulated time, not wall-clock, from start to completion or abort.
+    Duration elapsed;
     PageRangeSet written_pages;   // pages the guest dirtied (snapshot builders)
     uint64_t access_count = 0;
     // OK when the trace ran to completion; otherwise the terminal failure that
@@ -47,20 +47,36 @@ class Vm {
   FaultEngine* engine() { return engine_; }
 
  private:
-  struct RunState;
-
-  void Step(std::shared_ptr<RunState> state);
-  void Finish(std::shared_ptr<RunState> state);
+  // Runs ops until one has to wait for an event. `may_advance` is true only
+  // when this Step is the last action of one of the Vm's own continuation
+  // events: then compute bursts, fixed-cost faults and the trailing compute
+  // that end strictly before the next queued event retire in line through
+  // Simulation::TryFastForward. The first Step, inside RunInvocation, passes
+  // false: its caller may still act after RunInvocation returns.
+  void Step(bool may_advance);
+  // Releases the vCPUs and fires `done`, which may start the next invocation
+  // on this Vm; callers return straight after it.
+  void Finish();
   // Terminates the invocation early with a non-OK status: releases the vCPUs
   // and fires `done` with the error, so a failed restore never hangs the VM.
-  void Abort(std::shared_ptr<RunState> state, const Status& status);
+  void Abort(const Status& status);
 
   Simulation* sim_;
   FaultEngine* engine_;
   CpuModel* cpu_;
   int vcpus_;
   AccessObserver observer_;
+
+  // The running invocation. The Vm owns it, so continuations capture only
+  // `this` (and the page), which keeps them allocation-free.
   bool running_ = false;
+  const InvocationTrace* trace_ = nullptr;
+  size_t next_op_ = 0;
+  bool compute_done_ = false;  // compute of ops[next_op_] already performed
+  SimTime started_;
+  PageRangeSet written_;
+  Status status_;
+  std::function<void(InvocationResult)> done_;
 };
 
 }  // namespace faasnap

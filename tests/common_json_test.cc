@@ -60,6 +60,43 @@ TEST(JsonParse, ErrorsCarryOffset) {
   EXPECT_NE(v.status().message().find("offset"), std::string::npos);
 }
 
+TEST(JsonParse, RejectsHostileNestingWithoutRecursingIntoIt) {
+  // 100,000 levels would overflow the stack if the parser followed them.
+  const std::string deep = std::string(100000, '[') + std::string(100000, ']');
+  Result<JsonValue> v = ParseJson(deep);
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v.status().message().find("nesting"), std::string::npos);
+}
+
+TEST(JsonParse, NestingExactlyAtTheLimitParses) {
+  const auto nested_arrays = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  Result<JsonValue> at_limit = ParseJson(nested_arrays(kJsonMaxDepth));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().message();
+  const JsonValue* level = &*at_limit;
+  for (int i = 1; i < kJsonMaxDepth; ++i) {
+    ASSERT_EQ(level->array().size(), 1u);
+    level = &level->array()[0];
+  }
+  EXPECT_TRUE(level->array().empty());
+  EXPECT_EQ(ParseJson(nested_arrays(kJsonMaxDepth + 1)).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Objects and arrays share one depth count.
+  std::string mixed;
+  for (int i = 0; i < kJsonMaxDepth; ++i) {
+    mixed += i % 2 == 0 ? "{\"k\":" : "[";
+  }
+  mixed += "1";
+  for (int i = kJsonMaxDepth - 1; i >= 0; --i) {
+    mixed += i % 2 == 0 ? "}" : "]";
+  }
+  EXPECT_TRUE(ParseJson(mixed).ok());
+  EXPECT_FALSE(ParseJson("[" + mixed + "]").ok());
+}
+
 TEST(JsonValueAccess, TypeChecks) {
   JsonValue v = *ParseJson(R"({"s":"x","n":1.5,"i":7,"b":true,"a":[],"o":{}})");
   EXPECT_FALSE(v.Get("s")->AsBool().ok());

@@ -120,6 +120,111 @@ TEST(Simulation, ProcessedEventsCounter) {
   EXPECT_EQ(sim.processed_events(), 7u);
 }
 
+TEST(SimulationFastForward, RefusedOutsideARunLoop) {
+  Simulation sim;
+  EXPECT_FALSE(sim.TryFastForward(SimTime::FromNanos(10)));
+  EXPECT_EQ(sim.now().nanos(), 0);
+  sim.Schedule(SimTime::FromNanos(5), [] {});
+  sim.Run();
+  EXPECT_FALSE(sim.TryFastForward(SimTime::FromNanos(10)));  // the loop has returned
+  EXPECT_EQ(sim.now().nanos(), 5);
+}
+
+TEST(SimulationFastForward, RefusedInsideABareStep) {
+  Simulation sim;
+  std::vector<bool> accepted;
+  const auto try_ff = [&] { accepted.push_back(sim.TryFastForward(sim.now() + Duration::Nanos(1))); };
+  sim.Schedule(SimTime::FromNanos(10), try_ff);
+  EXPECT_TRUE(sim.Step());
+  // A Step() nested inside a run loop is bare too.
+  sim.Schedule(SimTime::FromNanos(20), [&] {
+    sim.Schedule(SimTime::FromNanos(30), try_ff);
+    EXPECT_TRUE(sim.Step());
+  });
+  sim.Run();
+  EXPECT_EQ(accepted, (std::vector<bool>{false, false}));
+  EXPECT_EQ(sim.now().nanos(), 30);
+}
+
+TEST(SimulationFastForward, EqualToTheHeadLosesTheFifoTie) {
+  Simulation sim;
+  bool at_head = true;
+  bool before_head = false;
+  SimTime landed;
+  sim.Schedule(SimTime::FromNanos(100), [&] {
+    before_head = sim.TryFastForward(SimTime::FromNanos(199));
+    at_head = sim.TryFastForward(SimTime::FromNanos(200));
+    landed = sim.now();
+  });
+  sim.Schedule(SimTime::FromNanos(200), [] {});
+  sim.Run();
+  EXPECT_FALSE(at_head);
+  EXPECT_TRUE(before_head);
+  EXPECT_EQ(landed, SimTime::FromNanos(199));
+}
+
+TEST(SimulationFastForward, BoundedByTheRunUntilDeadline) {
+  Simulation sim;
+  bool past = true;
+  bool at = false;
+  sim.Schedule(SimTime::FromNanos(100), [&] {
+    at = sim.TryFastForward(SimTime::FromNanos(500));
+    past = sim.TryFastForward(SimTime::FromNanos(501));
+  });
+  sim.Schedule(SimTime::FromNanos(900), [] {});
+  EXPECT_EQ(sim.RunUntil(SimTime::FromNanos(500)), 1u);
+  EXPECT_FALSE(past);
+  EXPECT_TRUE(at);
+  EXPECT_EQ(sim.now().nanos(), 500);
+}
+
+TEST(SimulationFastForward, StrictlyBeforeTheHeadMovesTheClock) {
+  Simulation sim;
+  std::vector<int64_t> seen;
+  sim.Schedule(SimTime::FromNanos(10), [&] {
+    EXPECT_TRUE(sim.TryFastForward(SimTime::FromNanos(40)));
+    seen.push_back(sim.now().nanos());
+    EXPECT_TRUE(sim.TryFastForward(SimTime::FromNanos(40)));  // zero-length
+    sim.ScheduleAfter(Duration::Zero(), [&] { seen.push_back(sim.now().nanos()); });
+  });
+  sim.Schedule(SimTime::FromNanos(50), [&] { seen.push_back(sim.now().nanos()); });
+  sim.Run();
+  EXPECT_EQ(seen, (std::vector<int64_t>{40, 40, 50}));
+  // An empty queue bounds nothing but the run loop itself.
+  sim.Schedule(SimTime::FromNanos(60), [&] {
+    EXPECT_TRUE(sim.TryFastForward(SimTime::FromNanos(1000000)));
+  });
+  sim.Run();
+  EXPECT_EQ(sim.now().nanos(), 1000000);
+}
+
+TEST(SimulationFastForward, CancelledHeadCountsAsLive) {
+  Simulation sim;
+  bool past_cancelled = true;
+  bool before_cancelled = false;
+  const EventId cancelled = sim.Schedule(SimTime::FromNanos(200), [] {});
+  sim.Schedule(SimTime::FromNanos(100), [&] {
+    past_cancelled = sim.TryFastForward(SimTime::FromNanos(250));
+    before_cancelled = sim.TryFastForward(SimTime::FromNanos(150));
+  });
+  sim.Cancel(cancelled);
+  sim.Run();
+  EXPECT_FALSE(past_cancelled);
+  EXPECT_TRUE(before_cancelled);
+}
+
+TEST(SimulationFastForward, NotCountedAsProcessedEvents) {
+  Simulation sim;
+  sim.Schedule(SimTime::FromNanos(1), [&] {
+    for (int64_t t = 2; t <= 10; ++t) {
+      EXPECT_TRUE(sim.TryFastForward(SimTime::FromNanos(t)));
+    }
+  });
+  EXPECT_EQ(sim.Run(), 1u);
+  EXPECT_EQ(sim.processed_events(), 1u);
+  EXPECT_EQ(sim.now().nanos(), 10);
+}
+
 TEST(SimulationDeathTest, SchedulingInThePastAborts) {
   Simulation sim;
   sim.Schedule(SimTime::FromNanos(100), [] {});

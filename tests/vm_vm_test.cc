@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "src/chaos/fault_injector.h"
+#include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/storage/device_profiles.h"
 #include "src/vm/guest_layout.h"
@@ -154,6 +159,339 @@ TEST_F(VmTest, WrittenPagesExcludeReads) {
   Vm::InvocationResult r = Run(trace);
   EXPECT_FALSE(r.written_pages.Contains(1));
   EXPECT_TRUE(r.written_pages.Contains(2));
+}
+
+// ---- fast-forward: directed cases ----
+
+TEST_F(VmTest, EventAtTheInstantABurstEndsScalesTheNextBurst) {
+  // The second burst ends at exactly 20 us, where an event queued earlier
+  // raises the load. That event wins the FIFO tie, so the trailing burst,
+  // started at 20 us, runs at load factor 2: 10 + 10 + 20 us. Fast-forwarding
+  // onto the head's time would start it at factor 1 and finish at 30 us.
+  CpuModel one_core(1);
+  Vm vm(&sim_, engine_.get(), &one_core, /*vcpus=*/1);
+  space_.Map({.guest = {0, kPages}, .kind = BackingKind::kAnonymous});
+  space_.SetInstallState(PageRange{0, 2}, PageInstallState::kPresent);
+  InvocationTrace trace;
+  trace.ops.push_back(TraceOp{Duration::Micros(10), 0, false});
+  trace.ops.push_back(TraceOp{Duration::Micros(10), 1, false});
+  trace.trailing_compute = Duration::Micros(10);
+  sim_.Schedule(SimTime() + Duration::Micros(20), [&] { one_core.AddRunnable(); });
+  Duration elapsed;
+  vm.RunInvocation(trace, [&](Vm::InvocationResult r) { elapsed = r.elapsed; });
+  sim_.Run();
+  EXPECT_EQ(elapsed, Duration::Micros(40));
+}
+
+TEST_F(VmTest, FirstStepNeverAdvancesPastItsCaller) {
+  // RunInvocation's caller raises the load after the call returns. The first
+  // burst started before that (factor 1), the second after it (factor 2):
+  // 10 + 2.5 (anonymous fault) + 20 us. A first Step that fast-forwarded would
+  // run both bursts before the caller's AddRunnable: 10 + 2.5 + 10 us.
+  CpuModel one_core(1);
+  Vm vm(&sim_, engine_.get(), &one_core, /*vcpus=*/1);
+  space_.Map({.guest = {0, kPages}, .kind = BackingKind::kAnonymous});
+  InvocationTrace trace;
+  trace.ops.push_back(TraceOp{Duration::Micros(10), 5, true});
+  trace.trailing_compute = Duration::Micros(10);
+  Duration elapsed;
+  sim_.Schedule(SimTime(), [&] {
+    vm.RunInvocation(trace, [&](Vm::InvocationResult r) { elapsed = r.elapsed; });
+    one_core.AddRunnable();
+  });
+  sim_.Run();
+  EXPECT_EQ(elapsed, Duration::Nanos(32500));
+}
+
+TEST_F(VmTest, DoneCanStartTheNextInvocationOnTheSameVm) {
+  space_.Map({.guest = {0, kPages}, .kind = BackingKind::kAnonymous});
+  InvocationTrace first;
+  first.ops.push_back(TraceOp{Duration::Micros(5), 1, true});
+  first.trailing_compute = Duration::Micros(3);
+  InvocationTrace second;
+  second.ops.push_back(TraceOp{Duration::Micros(4), 2, true});
+  second.ops.push_back(TraceOp{Duration::Zero(), 1, false});
+  second.trailing_compute = Duration::Micros(1);
+  std::vector<Vm::InvocationResult> results;
+  std::vector<SimTime> finished_at;
+  int remaining = 3;  // first, second, then second again
+  std::function<void(Vm::InvocationResult)> chain = [&](Vm::InvocationResult r) {
+    results.push_back(std::move(r));
+    finished_at.push_back(sim_.now());
+    if (--remaining > 0) {
+      vm_->RunInvocation(second, chain);
+    }
+  };
+  vm_->RunInvocation(first, chain);
+  sim_.Run();
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].elapsed, Duration::Nanos(10500));  // 5 + 2.5 + 3 us
+  EXPECT_EQ(results[1].elapsed, Duration::Nanos(7500));   // 4 + 2.5 + 0 + 1 us
+  EXPECT_EQ(results[2].elapsed, Duration::Micros(5));     // both pages present now
+  EXPECT_EQ(finished_at[2], SimTime() + Duration::Nanos(23000));
+  EXPECT_EQ(results[1].written_pages.page_count(), 1u);
+  EXPECT_TRUE(results[1].written_pages.Contains(2));
+  EXPECT_EQ(results[1].access_count, 2u);
+  EXPECT_EQ(cpu_.runnable(), 0);
+}
+
+TEST_F(VmTest, TerminalReadFailureAbortsThenTheVmRunsAgain) {
+  ChaosConfig chaos;
+  chaos.enabled = true;
+  chaos.read_error_rate = 1.0;
+  FaultInjector injector(&sim_, chaos);
+  disk_.set_fault_injector(&injector, /*device_ordinal=*/0);
+  space_.Map({.guest = {0, 1024}, .kind = BackingKind::kAnonymous});
+  space_.Map({.guest = {1024, 1024}, .kind = BackingKind::kFile, .file = kMemFile,
+              .file_start = 0});
+  std::vector<PageIndex> observed;
+  vm_->set_access_observer([&](PageIndex p, FaultClass) { observed.push_back(p); });
+
+  InvocationTrace doomed;
+  doomed.ops.push_back(TraceOp{Duration::Micros(2), 3, true});
+  doomed.ops.push_back(TraceOp{Duration::Micros(2), 1500, false});  // major: read fails
+  doomed.ops.push_back(TraceOp{Duration::Micros(2), 4, true});
+  doomed.trailing_compute = Duration::Micros(2);
+  Vm::InvocationResult aborted = Run(doomed);
+  EXPECT_FALSE(aborted.status.ok());
+  EXPECT_EQ(observed, (std::vector<PageIndex>{3}));  // the failed access never retires
+  EXPECT_EQ(cpu_.runnable(), 0);
+
+  InvocationTrace healthy;
+  healthy.ops.push_back(TraceOp{Duration::Micros(2), 5, true});
+  healthy.ops.push_back(TraceOp{Duration::Micros(2), 6, false});
+  healthy.trailing_compute = Duration::Micros(2);
+  Vm::InvocationResult ok = Run(healthy);
+  EXPECT_TRUE(ok.status.ok());
+  EXPECT_EQ(ok.elapsed, Duration::Micros(11));  // 3 x 2 us compute + 2 x 2.5 us
+  EXPECT_EQ(observed, (std::vector<PageIndex>{3, 5, 6}));
+}
+
+// ---- fast-forward: differential property ----
+//
+// Fast-forward must be invisible: the same trace run alone, beside unrelated
+// events that bound it at random points, beside a 1 ns ticker that blocks every
+// fast-forward, and under RunUntil epochs must give identical results.
+
+constexpr PageIndex kAnonPages = 1024;        // [0, 1024): anonymous
+constexpr PageIndex kFileFirst = kAnonPages;  // [1024, 3072): the memory file
+constexpr PageIndex kFilePages = 2048;
+constexpr PageIndex kHugeAnonRegion = 512;    // 2 MiB-aligned, inside the anon map
+constexpr PageIndex kHugeFileRegion = 2048;   // 2 MiB-aligned, inside the file map
+
+struct Scenario {
+  InvocationTrace trace;
+  std::vector<PageRange> cached;        // memory-file pages already in the page cache
+  std::vector<PageRange> soft_present;  // guest pages preinstalled by UFFDIO_COPY
+  bool huge_lever = false;
+  int cores = 96;
+};
+
+Scenario MakeScenario(uint64_t seed) {
+  Rng rng(seed * 0x9E3779B97F4A7C15ULL + 17);
+  Scenario sc;
+  sc.huge_lever = seed % 3 == 0;
+  sc.cores = seed % 2 == 0 ? 1 : 96;  // 1 core: every burst scales by 2
+  for (int i = 0; i < 6; ++i) {
+    const PageIndex first = static_cast<PageIndex>(rng.NextBelow(kFilePages - 64));
+    sc.cached.push_back(PageRange{first, 1 + rng.NextBelow(64)});
+  }
+  if (sc.huge_lever && rng.NextBelow(2) == 0) {
+    // Fully cached, so a fault there installs the file region huge.
+    sc.cached.push_back(PageRange{kHugeFileRegion - kFileFirst, 512});
+  }
+  for (int i = 0; i < 4; ++i) {
+    const PageIndex first = static_cast<PageIndex>(rng.NextBelow(kAnonPages + kFilePages - 32));
+    if (first < kHugeAnonRegion + 512 && first + 32 > kHugeAnonRegion) {
+      continue;  // keep the huge anon region whole (fully not-present)
+    }
+    sc.soft_present.push_back(PageRange{first, 1 + rng.NextBelow(32)});
+  }
+  const uint64_t ops = 100 + rng.NextBelow(201);
+  std::vector<PageIndex> touched;
+  for (uint64_t i = 0; i < ops; ++i) {
+    TraceOp op;
+    if (rng.NextBelow(2) == 0) {
+      op.compute = Duration::Nanos(static_cast<int64_t>(1 + rng.NextBelow(3000)));
+    }
+    op.is_write = rng.NextBelow(3) == 0;
+    const uint64_t kind = rng.NextBelow(10);
+    if (kind < 2 && !touched.empty()) {
+      op.page = touched[rng.NextBelow(touched.size())];  // repeat: no fault
+    } else if (kind < 5) {
+      op.page = static_cast<PageIndex>(rng.NextBelow(kAnonPages));
+    } else if (kind < 7 && !sc.soft_present.empty()) {
+      const PageRange r = sc.soft_present[rng.NextBelow(sc.soft_present.size())];
+      op.page = r.first + rng.NextBelow(r.count);
+    } else if (kind < 9 && !sc.cached.empty()) {
+      const PageRange r = sc.cached[rng.NextBelow(sc.cached.size())];
+      op.page = kFileFirst + r.first + rng.NextBelow(r.count);  // minor
+    } else {
+      op.page = kFileFirst + static_cast<PageIndex>(rng.NextBelow(kFilePages));
+    }
+    touched.push_back(op.page);
+    sc.trace.ops.push_back(op);
+  }
+  if (rng.NextBelow(2) == 0) {
+    sc.trace.trailing_compute = Duration::Nanos(static_cast<int64_t>(1 + rng.NextBelow(5000)));
+  }
+  return sc;
+}
+
+// A fast device: the 1 ns ticker costs one event per simulated nanosecond, so
+// short major faults keep the blocked runs cheap.
+BlockDeviceProfile FastDiskProfile() {
+  BlockDeviceProfile profile = TestDiskProfile();
+  profile.base_latency = Duration::Micros(5);
+  profile.bandwidth_bytes_per_s = 16ull * 1000 * 1000 * 1000;
+  profile.iops = 4000000;
+  return profile;
+}
+
+// One fresh host per run, so every run of a scenario starts from the same state.
+struct World {
+  explicit World(const Scenario& sc)
+      : disk(&sim, FastDiskProfile()), space(PageCount::FromPages(kPages)), cpu(sc.cores) {
+    router.AddDevice(&disk);
+    HostCostModel costs;
+    costs.cost_dispersion = true;
+    engine = std::make_unique<FaultEngine>(&sim, &cache, &router, &space, &readahead,
+                                           [](FileId) { return PageCount::FromPages(kFilePages); },
+                                           costs);
+    space.Map({.guest = {0, kAnonPages}, .kind = BackingKind::kAnonymous});
+    space.Map({.guest = {kFileFirst, kFilePages}, .kind = BackingKind::kFile, .file = kMemFile,
+               .file_start = 0});
+    if (sc.huge_lever) {
+      FaultPathConfig fault_path;
+      fault_path.huge_pages = true;
+      engine->set_fault_path(fault_path);
+      space.ConfigureHugeRegions(fault_path.huge_region_pages);
+      space.MarkHugeEligible(kHugeAnonRegion);
+      space.MarkHugeEligible(kHugeFileRegion);
+    }
+    for (const PageRange& r : sc.cached) {
+      cache.Insert(kMemFile, r);
+    }
+    for (const PageRange& r : sc.soft_present) {
+      space.SetInstallState(r, PageInstallState::kSoftPresent);
+    }
+    vm = std::make_unique<Vm>(&sim, engine.get(), &cpu, /*vcpus=*/2);
+  }
+
+  Simulation sim;
+  PageCache cache;
+  BlockDevice disk;
+  StorageRouter router;
+  AddressSpace space;
+  CpuModel cpu;
+  ReadaheadPolicy readahead;
+  std::unique_ptr<FaultEngine> engine;
+  std::unique_ptr<Vm> vm;
+};
+
+enum class RunMode { kAlone, kRandomTicker, kEveryNanosecond, kEpochs };
+
+struct Outcome {
+  std::vector<std::tuple<PageIndex, FaultClass, int64_t>> observed;
+  Duration elapsed;
+  PageRangeSet written;
+  FaultMetrics metrics;
+  uint64_t events = 0;  // fired, not counting the ticker's
+};
+
+Outcome RunScenario(const Scenario& sc, RunMode mode, uint64_t seed) {
+  World w(sc);
+  Outcome out;
+  SimTime deadline;
+  bool finished = false;
+  w.vm->set_access_observer([&](PageIndex page, FaultClass cls) {
+    out.observed.emplace_back(page, cls, w.sim.now().nanos());
+    if (mode == RunMode::kEpochs) {
+      EXPECT_LE(w.sim.now().nanos(), deadline.nanos()) << "observer ran past the epoch deadline";
+    }
+  });
+  uint64_t ticks = 0;
+  Rng gaps(seed ^ 0x71CCE4);
+  std::function<void()> tick = [&] {
+    ++ticks;
+    if (finished) {
+      return;
+    }
+    const int64_t gap =
+        mode == RunMode::kEveryNanosecond ? 1 : static_cast<int64_t>(1 + gaps.NextBelow(2000));
+    w.sim.ScheduleAfter(Duration::Nanos(gap), tick);
+  };
+  if (mode == RunMode::kRandomTicker || mode == RunMode::kEveryNanosecond) {
+    w.sim.ScheduleAfter(Duration::Nanos(1), tick);
+  }
+  w.vm->RunInvocation(sc.trace, [&](Vm::InvocationResult r) {
+    out.elapsed = r.elapsed;
+    out.written = std::move(r.written_pages);
+    EXPECT_TRUE(r.status.ok());
+    finished = true;
+  });
+  if (mode == RunMode::kEpochs) {
+    while (!finished) {
+      deadline = deadline + Duration::Micros(5);
+      w.sim.RunUntil(deadline);
+      EXPECT_EQ(w.sim.now().nanos(), deadline.nanos());
+    }
+  }
+  w.sim.Run();  // drains trailing readahead
+  EXPECT_TRUE(finished);
+  out.metrics = w.engine->metrics();
+  out.events = w.sim.processed_events() - ticks;
+  return out;
+}
+
+void ExpectSameMetrics(const FaultMetrics& a, const FaultMetrics& b) {
+  for (int c = 0; c < static_cast<int>(FaultClass::kClassCount); ++c) {
+    EXPECT_EQ(a.counts[c], b.counts[c]) << FaultClassName(static_cast<FaultClass>(c));
+  }
+  EXPECT_EQ(a.total_fault_time, b.total_fault_time);
+  EXPECT_EQ(a.total_wait_time, b.total_wait_time);
+  EXPECT_EQ(a.fault_disk_requests, b.fault_disk_requests);
+  EXPECT_EQ(a.fault_disk_bytes, b.fault_disk_bytes);
+  EXPECT_EQ(a.huge_installs, b.huge_installs);
+  EXPECT_EQ(a.huge_installed_pages, b.huge_installed_pages);
+  EXPECT_EQ(a.huge_splits, b.huge_splits);
+  EXPECT_EQ(a.latency_histogram.ToString(), b.latency_histogram.ToString());
+}
+
+TEST(VmFastForwardProperty, InvisibleUnderEveryRunMode) {
+  uint64_t alone_events = 0;
+  uint64_t blocked_events = 0;
+  int64_t fault_classes_seen[static_cast<int>(FaultClass::kClassCount)] = {};
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Scenario sc = MakeScenario(seed);
+    const Outcome alone = RunScenario(sc, RunMode::kAlone, seed);
+    for (const RunMode mode :
+         {RunMode::kRandomTicker, RunMode::kEveryNanosecond, RunMode::kEpochs}) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+      const Outcome other = RunScenario(sc, mode, seed);
+      ASSERT_EQ(alone.observed, other.observed);
+      EXPECT_EQ(alone.elapsed, other.elapsed);
+      EXPECT_EQ(alone.written, other.written);
+      ExpectSameMetrics(alone.metrics, other.metrics);
+      if (mode == RunMode::kEveryNanosecond) {
+        blocked_events += other.events;
+      }
+    }
+    alone_events += alone.events;
+    for (int c = 0; c < static_cast<int>(FaultClass::kClassCount); ++c) {
+      fault_classes_seen[c] += alone.metrics.counts[c];
+    }
+  }
+  // The generator reaches every class the Vm can meet here.
+  for (const FaultClass c : {FaultClass::kNoFault, FaultClass::kAnonymous, FaultClass::kMinor,
+                             FaultClass::kMajor, FaultClass::kUffdPreinstalled,
+                             FaultClass::kHugeInstall}) {
+    EXPECT_GT(fault_classes_seen[static_cast<int>(c)], 0) << FaultClassName(c);
+  }
+  // With nothing to bound it, the lone run fast-forwards most of its work; the
+  // 1 ns ticker forces every burst and fault back onto the event queue.
+  EXPECT_GT(blocked_events, 3 * alone_events);
 }
 
 TEST(GuestLayoutInVmTest, TraceHelpers) {
