@@ -128,31 +128,6 @@ InvocationReport Experiment::Invoke(RestoreMode mode, const WorkloadInput& test_
   return platform_.Invoke(snapshot_, mode, generator_, test_input);
 }
 
-CellStats MeasureCell(const std::string& function, RestoreMode mode,
-                      const std::function<WorkloadInput(const FunctionSpec&)>& record_input,
-                      const std::function<WorkloadInput(const FunctionSpec&)>& test_input,
-                      PlatformConfig base_config, int reps) {
-  RunningStats stats;
-  for (int rep = 0; rep < reps; ++rep) {
-    PlatformConfig config = base_config;
-    config.seed = base_config.seed + static_cast<uint64_t>(rep) * 7919;
-    Experiment experiment(function, config);
-    experiment.Record(record_input(experiment.generator().spec()));
-    InvocationReport report = experiment.Invoke(mode, test_input(experiment.generator().spec()));
-    stats.Record(report.total_time().millis());
-  }
-  return CellStats{stats.mean(), stats.stddev()};
-}
-
-std::string StatCell(const CellStats& stats) {
-  return FormatCell("%.1f +- %.1f", stats.mean_ms, stats.std_ms);
-}
-
-std::vector<RestoreMode> PaperSystems() {
-  return {RestoreMode::kFirecracker, RestoreMode::kReap, RestoreMode::kFaasnap,
-          RestoreMode::kCached};
-}
-
 void PrintBanner(const std::string& figure, const std::string& caption) {
   std::printf("\n================================================================\n");
   std::printf("%s — %s\n", figure.c_str(), caption.c_str());

@@ -1,14 +1,15 @@
-// Shared helpers for the figure/table benchmark harnesses.
+// Shared helpers for the bench drivers.
 //
-// Each bench binary reproduces one table or figure from the paper's evaluation:
-// it runs the record phase once per (function, seed), then the test phase under
-// each system, dropping caches between tests (section 6.1), and prints the same
-// rows/series the paper reports.
+// Each driver reproduces one table, ablation or extension that needs more than
+// a restore matrix: fault histograms, per-component timings, placements,
+// serving loops. It runs the record phase, then the test phase with caches
+// dropped between tests (section 6.1), and prints its own rows. Figures 6, 7,
+// 8, 10 and 11 are restore matrices: they run as configs/*.json through
+// examples/artifact_runner, and tests/paper_shapes_test.cc checks their shapes.
 
 #ifndef FAASNAP_BENCH_BENCH_UTIL_H_
 #define FAASNAP_BENCH_BENCH_UTIL_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -53,24 +54,6 @@ class Experiment {
   FunctionSnapshot snapshot_;
   bool recorded_ = false;
 };
-
-// Mean/stddev of total execution time (ms) across `reps` repetitions with
-// different jitter seeds. Runs record(A-or-given) once per rep.
-struct CellStats {
-  double mean_ms = 0;
-  double std_ms = 0;
-};
-
-CellStats MeasureCell(const std::string& function, RestoreMode mode,
-                      const std::function<WorkloadInput(const FunctionSpec&)>& record_input,
-                      const std::function<WorkloadInput(const FunctionSpec&)>& test_input,
-                      PlatformConfig base_config, int reps);
-
-// "123.4 +- 5.6" cell text.
-std::string StatCell(const CellStats& stats);
-
-// The four systems of Figures 1/6/7 in presentation order.
-std::vector<RestoreMode> PaperSystems();
 
 // Prints a standard figure banner.
 void PrintBanner(const std::string& figure, const std::string& caption);

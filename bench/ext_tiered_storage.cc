@@ -50,15 +50,20 @@ void Run(int reps) {
     for (const std::string& function : functions) {
       Result<FunctionSpec> spec = FindFunction(function);
       FAASNAP_CHECK_OK(spec.status());
-      auto test_input = spec->fixed_input
-                            ? std::function<WorkloadInput(const FunctionSpec&)>(MakeInputA)
-                            : std::function<WorkloadInput(const FunctionSpec&)>(MakeInputB);
+      const WorkloadInput test_input = spec->fixed_input ? MakeInputA(*spec) : MakeInputB(*spec);
       double cells[3];
       const char* placements[3] = {"all-local", "hybrid", "all-remote"};
       for (int i = 0; i < 3; ++i) {
-        CellStats stats = MeasureCell(function, mode, MakeInputA, test_input,
-                                      MakeConfig(placements[i]), reps);
-        cells[i] = stats.mean_ms;
+        // Mean total time over `reps` fresh platforms with different jitter seeds.
+        RunningStats stats;
+        for (int rep = 0; rep < reps; ++rep) {
+          PlatformConfig config = MakeConfig(placements[i]);
+          config.seed += static_cast<uint64_t>(rep) * 7919;
+          Experiment experiment(function, config);
+          experiment.Record(MakeInputA(*spec));
+          stats.Record(experiment.Invoke(mode, test_input).total_time().millis());
+        }
+        cells[i] = stats.mean();
       }
       table.AddRow({function, FormatCell("%.1f", cells[0]), FormatCell("%.1f", cells[1]),
                     FormatCell("%.1f", cells[2]),

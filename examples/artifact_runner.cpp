@@ -4,10 +4,12 @@
 // `test.py test-2inputs.json` etc.; this binary does the same against the
 // simulation platform:
 //
-//   ./build/examples/artifact_runner configs/test-2inputs.json          # E1
-//   ./build/examples/artifact_runner configs/test-6inputs.json          # E2
-//   ./build/examples/artifact_runner configs/test-burst.json            # E3
-//   ./build/examples/artifact_runner configs/test-remote.json           # E4
+//   ./build/examples/artifact_runner configs/test-2inputs.json          # E1, Figs 6-7
+//   ./build/examples/artifact_runner configs/test-2inputs-ba.json       # Fig 6, B->A
+//   ./build/examples/artifact_runner configs/test-6inputs.json          # E2, Fig 8
+//   ./build/examples/artifact_runner configs/test-burst.json            # E3, Fig 10
+//   ./build/examples/artifact_runner configs/test-burst-distinct.json   # Fig 10
+//   ./build/examples/artifact_runner configs/test-remote.json           # E4, Fig 11
 //   ./build/examples/artifact_runner --json configs/test-2inputs.json   # machine-readable
 //   ./build/examples/artifact_runner configs/test-cluster.json          # sharded cluster
 //
@@ -87,12 +89,10 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (!json) {
-    std::printf("running \"%s\": %zu functions x %zu systems x %zu inputs x %d reps%s\n",
-                config->name.c_str(), config->functions.size(), config->systems.size(),
-                config->test_inputs.size(), config->reps,
-                config->parallelism > 1
-                    ? (" at parallelism " + std::to_string(config->parallelism)).c_str()
-                    : "");
+    std::printf("running \"%s\": %zu functions x %zu inputs x %zu parallelisms x %zu systems "
+                "x %d reps\n",
+                config->name.c_str(), config->functions.size(), config->test_inputs.size(),
+                config->parallelism.size(), config->systems.size(), config->reps);
   }
   Result<ExperimentResults> results = RunExperiment(*config);
   if (!results.ok()) {

@@ -1,9 +1,7 @@
 // Minimal dependency-free streaming JSON emission.
 //
-// Lives in common (rather than metrics) so low-level subsystems — notably the
-// observability layer's trace and metrics exporters — can emit JSON without
-// depending on the report types. metrics/json_writer.h adds
-// InvocationReport serialization on top.
+// Lives in common so every layer — notably the observability layer's trace and
+// metrics exporters — can emit JSON without depending on the report types.
 
 #ifndef FAASNAP_SRC_COMMON_JSON_WRITER_H_
 #define FAASNAP_SRC_COMMON_JSON_WRITER_H_

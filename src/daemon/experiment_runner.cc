@@ -46,6 +46,120 @@ WorkloadInput ResolveInput(const TestInputSpec& spec, const FunctionSpec& functi
   return MakeInputA(function);
 }
 
+void RecordReport(ExperimentCell* cell, const InvocationReport& report) {
+  cell->total_ms.Record(report.total_time().millis());
+  cell->setup_ms.Record(report.setup_time.millis());
+  cell->invocation_ms.Record(report.invocation_time.millis());
+  TallyOutcome(cell, report);
+}
+
+// One repetition of one cell on a fresh platform: record (one snapshot, or one
+// per burst member), drop caches, then `parallelism` simultaneous invocations.
+// Nothing here depends on the scenario's other cells.
+void RunRep(const Scenario& scenario, const TraceGenerator& generator,
+            const TestInputSpec& input_spec, int parallelism, size_t system_index, int rep,
+            Observability* obs, ExperimentCell* cell) {
+  const FunctionSpec& spec = generator.spec();
+  const RestoreMode system = scenario.systems[system_index];
+  PlatformConfig platform_config = scenario.platform;
+  platform_config.seed = scenario.base_seed + static_cast<uint64_t>(rep) * 7919;
+  Platform platform(platform_config);
+  if (obs != nullptr) {
+    char track[192];
+    std::snprintf(track, sizeof(track), "%s input=%s parallelism=%d system=%s rep=%d",
+                  spec.name.c_str(), input_spec.label.c_str(), parallelism,
+                  cell->system.c_str(), rep);
+    if (!obs->forensics.enabled()) {
+      // Under forensics the platform records into the recorder's recycling
+      // buffer; the run-wide tracer stays empty (cell spans aside) and per-rep
+      // tracks would never be garbage-collected.
+      obs->spans.BeginTrack(track);
+    }
+    obs->timeline.BeginEpoch(track);
+    platform.set_observability(obs);
+  }
+
+  const WorkloadInput record_input =
+      ResolveInput(scenario.record_input, spec, /*content_seed=*/0xA);
+  std::vector<FunctionSnapshot> snapshots;
+  const int snapshot_count = scenario.distinct_snapshots ? parallelism : 1;
+  for (int i = 0; i < snapshot_count; ++i) {
+    snapshots.push_back(platform.Record(generator, record_input));
+  }
+  platform.DropCaches();
+
+  // Burst member i restores from its own snapshot when they are distinct and
+  // gets its own contents unless the function's input is fixed.
+  const WorkloadInput test_input =
+      ResolveInput(input_spec, spec, 0x7E57 + static_cast<uint64_t>(rep) * 131);
+  auto snapshot_of = [&](uint64_t i) -> const FunctionSnapshot& {
+    return snapshots[i % snapshots.size()];
+  };
+  auto trace_of = [&](uint64_t i) {
+    WorkloadInput member = test_input;
+    if (!spec.fixed_input) {
+      member.content_seed += i * 977;
+    }
+    return generator.Generate(member);
+  };
+
+  // Covers every invocation of this (system, rep) cell; arg0 = system index,
+  // so trace tooling can split cells apart.
+  const SpanId cell_span =
+      obs != nullptr ? obs->spans.Begin(platform.sim()->now(), ObsLane::kDaemon,
+                                        obsname::kExperimentCell, system_index)
+                     : kNoSpan;
+  int resolved = 0;
+  std::unique_ptr<AdmissionController> admission;
+  if (!scenario.admission_enabled) {
+    for (int i = 0; i < parallelism; ++i) {
+      platform.InvokeAsync(snapshot_of(i), system, trace_of(i), [&](InvocationReport report) {
+        RecordReport(cell, report);
+        ++resolved;
+      });
+    }
+  } else {
+    // The simultaneous requests enter a bounded deadline queue; overflow and
+    // expired waiters resolve as typed shed outcomes instead of piling onto
+    // the daemon.
+    AdmissionController::Hooks hooks;
+    hooks.run = [&](const AdmissionRequest& request, Duration wait) {
+      (void)wait;  // queue time is visible in the report's setup span
+      platform.InvokeAsync(snapshot_of(request.id), system, trace_of(request.id),
+                           [&, request](InvocationReport report) {
+                             RecordReport(cell, report);
+                             ++resolved;
+                             admission->OnComplete(request);
+                           });
+    };
+    hooks.shed = [&](const AdmissionRequest& request, InvocationOutcome outcome,
+                     Duration wait) {
+      (void)wait;  // ReportShed derives the wait from request.arrival
+      Status reason = outcome == InvocationOutcome::kShedQueueFull
+                          ? ResourceExhaustedError("admission queue full")
+                          : DeadlineExceededError("queueing deadline exceeded");
+      TallyOutcome(cell, platform.ReportShed(snapshot_of(request.id), system, request.arrival,
+                                             outcome, std::move(reason)));
+      ++resolved;
+    };
+    admission = std::make_unique<AdmissionController>(platform.sim(), scenario.admission,
+                                                      std::move(hooks));
+    for (int i = 0; i < parallelism; ++i) {
+      AdmissionRequest request;
+      request.id = static_cast<uint64_t>(i);
+      request.predicted_bytes =
+          PagesToBytes(PageCount::FromPages(snapshot_of(i).record_touched.page_count()));
+      request.arrival = platform.sim()->now();
+      admission->Offer(request);
+    }
+  }
+  platform.sim()->Run();
+  FAASNAP_CHECK(resolved == parallelism);
+  if (obs != nullptr) {
+    obs->spans.End(cell_span, platform.sim()->now());
+  }
+}
+
 }  // namespace
 
 Result<ExperimentResults> RunExperiment(const Scenario& scenario) {
@@ -77,136 +191,20 @@ Result<ExperimentResults> RunExperiment(const Scenario& scenario) {
   }
 
   for (const FunctionSpec& spec : scenario.functions) {
+    const TraceGenerator generator(spec, scenario.platform.layout);
     for (const TestInputSpec& input_spec : scenario.test_inputs) {
-      // One cell per system; repetitions vary the platform seed.
-      std::vector<ExperimentCell> row;
-      for (RestoreMode system : scenario.systems) {
-        ExperimentCell cell;
-        cell.function = spec.name;
-        cell.system = std::string(RestoreModeName(system));
-        cell.test_input = input_spec.label;
-        row.push_back(std::move(cell));
-      }
-      for (int rep = 0; rep < scenario.reps; ++rep) {
-        PlatformConfig platform_config = scenario.platform;
-        platform_config.seed = scenario.base_seed + static_cast<uint64_t>(rep) * 7919;
-        Platform platform(platform_config);
-        if (obs != nullptr) {
-          char track[160];
-          std::snprintf(track, sizeof(track), "%s input=%s rep=%d", spec.name.c_str(),
-                        input_spec.label.c_str(), rep);
-          if (!obs->forensics.enabled()) {
-            // Under forensics the platform records into the recorder's
-            // recycling buffer; the run-wide tracer stays empty (cell spans
-            // aside) and per-rep tracks would never be garbage-collected.
-            obs->spans.BeginTrack(track);
-          }
-          obs->timeline.BeginEpoch(track);
-          platform.set_observability(obs.get());
-        }
-        TraceGenerator generator(spec, platform_config.layout);
-        const WorkloadInput record_input =
-            ResolveInput(scenario.record_input, spec, /*content_seed=*/0xA);
-        FunctionSnapshot snapshot = platform.Record(generator, record_input);
-
+      for (int parallelism : scenario.parallelism) {
         for (size_t s = 0; s < scenario.systems.size(); ++s) {
-          platform.DropCaches();
-          const WorkloadInput test_input = ResolveInput(
-              input_spec, spec, 0x7E57 + static_cast<uint64_t>(rep) * 131 + s);
-          // Covers every invocation of this (system, rep) cell; arg0 = system
-          // index, so trace tooling can split cells apart.
-          const SpanId cell_span =
-              obs != nullptr ? obs->spans.Begin(platform.sim()->now(), ObsLane::kDaemon,
-                                                obsname::kExperimentCell, s)
-                             : kNoSpan;
-          if (scenario.parallelism == 1) {
-            InvocationReport report =
-                platform.Invoke(snapshot, scenario.systems[s], generator, test_input);
-            row[s].total_ms.Record(report.total_time().millis());
-            row[s].setup_ms.Record(report.setup_time.millis());
-            row[s].invocation_ms.Record(report.invocation_time.millis());
-            TallyOutcome(&row[s], report);
-            row[s].sample = std::move(report);
-          } else if (!scenario.admission_enabled) {
-            // Burst: N simultaneous requests; the cell aggregates per-invocation
-            // times across the burst.
-            int completed = 0;
-            for (int i = 0; i < scenario.parallelism; ++i) {
-              WorkloadInput per = test_input;
-              if (!spec.fixed_input) {
-                per.content_seed += static_cast<uint64_t>(i) * 977;
-              }
-              platform.InvokeAsync(snapshot, scenario.systems[s], generator.Generate(per),
-                                   [&, s](InvocationReport report) {
-                                     row[s].total_ms.Record(report.total_time().millis());
-                                     row[s].setup_ms.Record(report.setup_time.millis());
-                                     row[s].invocation_ms.Record(
-                                         report.invocation_time.millis());
-                                     TallyOutcome(&row[s], report);
-                                     row[s].sample = std::move(report);
-                                     ++completed;
-                                   });
-            }
-            platform.sim()->Run();
-            FAASNAP_CHECK(completed == scenario.parallelism);
-          } else {
-            // Admission-controlled burst: the N simultaneous requests enter a
-            // bounded deadline queue; overflow and expired waiters resolve as
-            // typed shed outcomes instead of piling onto the daemon.
-            int resolved = 0;
-            const ByteCount predicted_bytes =
-                PagesToBytes(PageCount::FromPages(snapshot.record_touched.page_count()));
-            std::unique_ptr<AdmissionController> admission;
-            AdmissionController::Hooks hooks;
-            hooks.run = [&, s](const AdmissionRequest& request, Duration wait) {
-              (void)wait;  // queue time is visible in the report's setup span
-              WorkloadInput per = test_input;
-              if (!spec.fixed_input) {
-                per.content_seed += request.id * 977;
-              }
-              platform.InvokeAsync(snapshot, scenario.systems[s], generator.Generate(per),
-                                   [&, s, request](InvocationReport report) {
-                                     row[s].total_ms.Record(report.total_time().millis());
-                                     row[s].setup_ms.Record(report.setup_time.millis());
-                                     row[s].invocation_ms.Record(
-                                         report.invocation_time.millis());
-                                     TallyOutcome(&row[s], report);
-                                     row[s].sample = std::move(report);
-                                     ++resolved;
-                                     admission->OnComplete(request);
-                                   });
-            };
-            hooks.shed = [&, s](const AdmissionRequest& request, InvocationOutcome outcome,
-                                Duration wait) {
-              (void)wait;  // ReportShed derives the wait from request.arrival
-              Status reason = outcome == InvocationOutcome::kShedQueueFull
-                                  ? ResourceExhaustedError("admission queue full")
-                                  : DeadlineExceededError("queueing deadline exceeded");
-              const InvocationReport report =
-                  platform.ReportShed(snapshot, scenario.systems[s], request.arrival, outcome,
-                                      std::move(reason));
-              TallyOutcome(&row[s], report);
-              ++resolved;
-            };
-            admission = std::make_unique<AdmissionController>(
-                platform.sim(), scenario.admission, std::move(hooks));
-            for (int i = 0; i < scenario.parallelism; ++i) {
-              AdmissionRequest request;
-              request.id = static_cast<uint64_t>(i);
-              request.predicted_bytes = predicted_bytes;
-              request.arrival = platform.sim()->now();
-              admission->Offer(request);
-            }
-            platform.sim()->Run();
-            FAASNAP_CHECK(resolved == scenario.parallelism);
+          ExperimentCell cell;
+          cell.function = spec.name;
+          cell.system = std::string(RestoreModeName(scenario.systems[s]));
+          cell.test_input = input_spec.label;
+          cell.parallelism = parallelism;
+          for (int rep = 0; rep < scenario.reps; ++rep) {
+            RunRep(scenario, generator, input_spec, parallelism, s, rep, obs.get(), &cell);
           }
-          if (obs != nullptr) {
-            obs->spans.End(cell_span, platform.sim()->now());
-          }
+          results.cells.push_back(std::move(cell));
         }
-      }
-      for (ExperimentCell& cell : row) {
-        results.cells.push_back(std::move(cell));
       }
     }
   }
@@ -271,7 +269,7 @@ std::string ExperimentResults::ToTable() const {
   for (const ExperimentCell& cell : cells) {
     any_non_ok = any_non_ok || !cell.all_ok();
   }
-  std::vector<std::string> header = {"function", "test input", "system",
+  std::vector<std::string> header = {"function",   "test input", "parallelism", "system",
                                      "total (ms)", "setup (ms)", "invoke (ms)"};
   if (any_non_ok) {
     header.push_back("ok/deg/fail/shed");
@@ -279,7 +277,7 @@ std::string ExperimentResults::ToTable() const {
   TextTable table(header);
   for (const ExperimentCell& cell : cells) {
     std::vector<std::string> row = {
-        cell.function, cell.test_input, cell.system,
+        cell.function, cell.test_input, std::to_string(cell.parallelism), cell.system,
         FormatCell("%.1f +- %.1f", cell.total_ms.mean(), cell.total_ms.stddev()),
         FormatCell("%.1f", cell.setup_ms.mean()),
         FormatCell("%.1f", cell.invocation_ms.mean())};
@@ -300,6 +298,7 @@ std::string ExperimentResults::ToJson() const {
         .Field("function", cell.function)
         .Field("system", cell.system)
         .Field("test_input", cell.test_input)
+        .Field("parallelism", static_cast<int64_t>(cell.parallelism))
         .Field("total_ms_mean", cell.total_ms.mean())
         .Field("total_ms_std", cell.total_ms.stddev())
         .Field("setup_ms_mean", cell.setup_ms.mean())

@@ -1,11 +1,12 @@
 // ExperimentRunner: executes a parsed Scenario and renders results — the
 // counterpart of the paper artifact's `test.py` driver (Appendix A.4).
 //
-// Restore matrix: for every (function, test input), one platform per
-// repetition, one record phase, then one test-phase invocation per system with
-// caches dropped between tests (or `parallelism` simultaneous invocations for
-// burst configs). Cluster scenario: one ClusterSimulator run over the sampled
-// arrival mix.
+// Restore matrix: one cell per (function, test input, parallelism, system).
+// Each repetition of a cell gets a fresh platform, seeded base_seed + 7919 *
+// rep, that records, drops caches and runs `parallelism` simultaneous
+// invocations. A test input's contents depend on the rep, never on the system,
+// so no cell depends on the other cells of the scenario. Cluster scenario: one
+// ClusterSimulator run over the sampled arrival mix.
 
 #ifndef FAASNAP_SRC_DAEMON_EXPERIMENT_RUNNER_H_
 #define FAASNAP_SRC_DAEMON_EXPERIMENT_RUNNER_H_
@@ -15,7 +16,6 @@
 
 #include "src/common/histogram.h"
 #include "src/daemon/scenario.h"
-#include "src/metrics/report.h"
 
 namespace faasnap {
 
@@ -23,6 +23,7 @@ struct ExperimentCell {
   std::string function;
   std::string system;
   std::string test_input;
+  int parallelism = 1;
   RunningStats total_ms;
   RunningStats setup_ms;
   RunningStats invocation_ms;
@@ -30,11 +31,9 @@ struct ExperimentCell {
   int64_t ok = 0;
   int64_t degraded = 0;
   int64_t failed = 0;
-  // Arrivals the admission layer rejected or deadline-dropped (burst path with
+  // Arrivals the admission layer rejected or deadline-dropped (scenarios with
   // an "admission" block; both shed outcomes fold into one tally here).
   int64_t shed = 0;
-  // Representative last-rep detail for JSON export.
-  InvocationReport sample;
 
   bool all_ok() const { return degraded == 0 && failed == 0 && shed == 0; }
 };

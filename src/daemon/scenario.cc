@@ -8,6 +8,8 @@
 #include <sstream>
 #include <utility>
 
+#include "src/workloads/trace_generator.h"
+
 namespace faasnap {
 
 namespace {
@@ -100,6 +102,28 @@ class FieldReader {
     }
   }
 
+  // A non-empty array of integers at `key`, each in [lo, hi].
+  template <typename T>
+  void IntList(const char* key, std::vector<T>* out, int64_t lo, int64_t hi) {
+    const JsonValue* v = Find(key);
+    if (v == nullptr) {
+      return;
+    }
+    const std::string expected = "must be a non-empty array of integers in " + Range(lo, hi);
+    if (!v->is_array() || v->array().empty()) {
+      return Fail(key, expected);
+    }
+    std::vector<T> items;
+    for (const JsonValue& item : v->array()) {
+      std::optional<int64_t> i = InRange(item, lo, hi);
+      if (!i.has_value()) {
+        return Fail(key, expected);
+      }
+      items.push_back(static_cast<T>(*i));
+    }
+    *out = std::move(items);
+  }
+
   // A string at `key` converted by `parse` (string -> Result<T>).
   template <typename T, typename ParseFn>
   void Parse(const char* key, T* out, ParseFn parse) {
@@ -136,17 +160,28 @@ class FieldReader {
     return it == members.end() ? nullptr : &it->second;
   }
 
+  static std::string Range(int64_t lo, int64_t hi) {
+    return "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  }
+
+  static std::optional<int64_t> InRange(const JsonValue& v, int64_t lo, int64_t hi) {
+    Result<int64_t> i = v.AsInt();
+    if (!i.ok() || *i < lo || *i > hi) {
+      return std::nullopt;
+    }
+    return *i;
+  }
+
   std::optional<int64_t> Integer(const char* key, int64_t lo, int64_t hi) {
     const JsonValue* v = Find(key);
     if (v == nullptr) {
       return std::nullopt;
     }
-    Result<int64_t> i = v->AsInt();
-    if (!i.ok() || *i < lo || *i > hi) {
-      Fail(key, "must be an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
-      return std::nullopt;
+    std::optional<int64_t> i = InRange(*v, lo, hi);
+    if (!i.has_value()) {
+      Fail(key, "must be an integer in " + Range(lo, hi));
     }
-    return *i;
+    return i;
   }
 
   template <typename T, typename ParseFn>
@@ -185,13 +220,27 @@ Result<TestInputSpec> ParseTestInput(const std::string& text) {
     const std::string number = text.substr(0, text.size() - 1);
     char* end = nullptr;
     const double ratio = std::strtod(number.c_str(), &end);
-    if (end != nullptr && *end == '\0' && ratio > 0) {
+    if (end != nullptr && *end == '\0' && !number.empty()) {
+      // Rejects NaN and infinity too.
+      if (!(ratio > 0 && ratio <= kMaxInputRatio)) {
+        char message[96];
+        std::snprintf(message, sizeof(message), "input ratio %s must be in (0, %g]",
+                      number.c_str(), kMaxInputRatio);
+        return InvalidArgumentError(message);
+      }
       spec.kind = TestInputSpec::Kind::kRatio;
       spec.ratio = ratio;
       return spec;
     }
   }
   return InvalidArgumentError("unknown input spec: " + text + " (use A, B, or e.g. 2x)");
+}
+
+Result<bool> ParseSnapshots(const std::string& text) {
+  if (text == "shared" || text == "distinct") {
+    return text == "distinct";
+  }
+  return InvalidArgumentError("must be shared or distinct");
 }
 
 Result<BlockDeviceProfile> ParseDevice(const std::string& name) {
@@ -338,7 +387,8 @@ Result<Scenario> ParseScenario(const JsonValue& root) {
   in.Parse("record_input", &s.record_input, ParseTestInput);
   in.List("test_inputs", &s.test_inputs, ParseTestInput);
   in.Int("reps", &s.reps, 1);
-  in.Int("parallelism", &s.parallelism, 1);
+  in.IntList("parallelism", &s.parallelism, 1, std::numeric_limits<int>::max());
+  in.Parse("snapshots", &s.distinct_snapshots, ParseSnapshots);
 
   in.String("trace_out", &s.trace_out);
   in.String("metrics_out", &s.metrics_out);

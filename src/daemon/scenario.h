@@ -3,11 +3,11 @@
 // repository mirrors it with `artifact_runner configs/<config>.json`).
 //
 // One schema covers both kinds of scenario. Without a "cluster" object the
-// document is a restore matrix: every (function, test input, system) cell is
-// recorded and restored on one host, `reps` times. With one it is a cluster
-// scenario: an open-loop arrival mix served by sharded hosts. The shared keys
-// mean the same thing in both kinds; every host of a cluster gets the parsed
-// platform and admission settings.
+// document is a restore matrix: every (function, test input, parallelism,
+// system) cell is recorded and restored on a fresh host, `reps` times. With
+// one it is a cluster scenario: an open-loop arrival mix served by sharded
+// hosts. The shared keys mean the same thing in both kinds; every host of a
+// cluster gets the parsed platform and admission settings.
 //
 // Every key is optional unless noted. An absent key keeps its default. A
 // present key of the wrong JSON type, or outside the range its consumer
@@ -59,7 +59,7 @@
 //     "breaker_failure_threshold": 4,
 //     "breaker_open_for_us": 20000
 //   },
-//   "admission": {                              // matrix: the burst path; cluster: every host
+//   "admission": {                              // matrix: every cell; cluster: every host
 //     "enabled": true,                          // default true when block present (matrix)
 //     "max_concurrency": 8,                     // in-flight invocation cap; >= 1
 //     "queue_capacity": 64,                     // waiters beyond this shed
@@ -71,9 +71,13 @@
 //   // Restore matrix.
 //   "systems": ["firecracker", "reap", "faasnap", "cached"],
 //   "record_input": "A",                        // "A" | "B"
-//   "test_inputs": ["B"],                       // "A" | "B" | a ratio like "2x"
+//   "test_inputs": ["B"],                       // "A" | "B" | a ratio like "2x",
+//                                               //   at most kMaxInputRatio (1e6)
 //   "reps": 3,                                  // >= 1
-//   "parallelism": 1,                           // >1 = bursty (Figure 10 style)
+//   "parallelism": [1],                         // simultaneous invocations per cell,
+//                                               //   one cell per value (Figure 10)
+//   "snapshots": "shared",                      // "shared" | "distinct": one snapshot
+//                                               //   per burst member when distinct
 //   "trace_out": "trace.json",                  // Perfetto/Chrome trace export
 //   "metrics_out": "metrics.json",              // metrics registry snapshot
 //   "timeline_out": "run.timeline.jsonl",       // windowed metrics deltas (JSONL)
@@ -160,11 +164,10 @@ struct Scenario {
   PlatformConfig platform;
   uint64_t base_seed = 1;
 
-  // "admission" block. In a restore matrix with parallelism > 1 the N
-  // simultaneous requests pass through an AdmissionController when enabled,
-  // so overflow and deadline-expired waiters shed with typed outcomes (the
-  // cell's shed column); off by default. A cluster's hosts always admit
-  // through it.
+  // "admission" block. In a restore matrix a cell's simultaneous requests pass
+  // through an AdmissionController when enabled, so overflow and
+  // deadline-expired waiters shed with typed outcomes (the cell's shed
+  // column); off by default. A cluster's hosts always admit through it.
   bool admission_enabled = false;
   AdmissionConfig admission;
 
@@ -174,11 +177,14 @@ struct Scenario {
   TestInputSpec record_input{TestInputSpec::Kind::kInputA, 1.0, "A"};
   std::vector<TestInputSpec> test_inputs = {{TestInputSpec::Kind::kInputB, 1.0, "B"}};
   int reps = 3;
-  int parallelism = 1;
+  // Each value is its own cell: that many simultaneous invocations of one
+  // platform, restored from one shared snapshot or from one snapshot each.
+  std::vector<int> parallelism = {1};
+  bool distinct_snapshots = false;
 
   // Observability outputs; empty = disabled. trace_out receives a Perfetto-
-  // loadable Chrome trace (one track per repetition), metrics_out the metrics
-  // registry snapshot. Both cover the whole experiment.
+  // loadable Chrome trace (one track per repetition of a cell), metrics_out
+  // the metrics registry snapshot. Both cover the whole experiment.
   std::string trace_out;
   std::string metrics_out;
 

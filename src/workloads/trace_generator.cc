@@ -44,7 +44,7 @@ WorkloadInput MakeInputB(const FunctionSpec& spec) {
 }
 
 WorkloadInput MakeScaledInput(const FunctionSpec& spec, double ratio, uint64_t content_seed) {
-  FAASNAP_CHECK(ratio > 0);
+  FAASNAP_CHECK(ratio > 0 && ratio <= kMaxInputRatio);
   InputProfile profile;
   profile.input_pages = PageCount::FromPages(
       static_cast<uint64_t>(static_cast<double>(spec.input_a.input_pages.value()) * ratio));

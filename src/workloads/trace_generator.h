@@ -38,7 +38,16 @@ struct WorkloadInput {
 WorkloadInput MakeInputA(const FunctionSpec& spec);
 WorkloadInput MakeInputB(const FunctionSpec& spec);
 
+// The largest ratio MakeScaledInput accepts. Every catalog function's scaled
+// sizes must fit their integer types. Page counts scale linearly from at most
+// mmap's 512 MiB (131,072 pages), so 1.3e11 pages at the bound, far inside
+// uint64. Compute scales as ratio^compute_exponent; the steepest is matmul's
+// 700 ms x ratio^1.5, which is 7e8 ns x 1e9 = 7e17 ns at the bound, inside
+// int64 nanoseconds (9.2e18) with room for the rest of the invocation.
+inline constexpr double kMaxInputRatio = 1e6;
+
 // Figure 8: an input whose size is `ratio` times input A (contents differ from A).
+// `ratio` must be in (0, kMaxInputRatio].
 WorkloadInput MakeScaledInput(const FunctionSpec& spec, double ratio, uint64_t content_seed);
 
 class TraceGenerator {

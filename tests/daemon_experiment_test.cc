@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
+
 #include "src/daemon/experiment_runner.h"
 #include "src/daemon/scenario.h"
+#include "tests/shipped_configs.h"
 
 namespace faasnap {
 namespace {
@@ -18,7 +22,8 @@ TEST(Scenario, MinimalConfigGetsDefaults) {
   EXPECT_EQ(config->functions[0].name, "json");
   EXPECT_EQ(config->systems.size(), 4u);  // the four paper systems
   EXPECT_EQ(config->reps, 3);
-  EXPECT_EQ(config->parallelism, 1);
+  EXPECT_EQ(config->parallelism, std::vector<int>{1});
+  EXPECT_FALSE(config->distinct_snapshots);
   EXPECT_EQ(config->record_input.kind, TestInputSpec::Kind::kInputA);
   ASSERT_EQ(config->test_inputs.size(), 1u);
   EXPECT_EQ(config->test_inputs[0].kind, TestInputSpec::Kind::kInputB);
@@ -34,7 +39,8 @@ TEST(Scenario, FullConfigParses) {
     "record_input": "B",
     "test_inputs": ["A", "2x", "0.5x"],
     "reps": 5,
-    "parallelism": 4,
+    "parallelism": [1, 4],
+    "snapshots": "distinct",
     "device": "ebs",
     "ws_group_size": 256,
     "merge_gap_pages": 16,
@@ -53,6 +59,8 @@ TEST(Scenario, FullConfigParses) {
   EXPECT_EQ(config->platform.ws_group_size, 256u);
   EXPECT_EQ(config->platform.loading_set.merge_gap_pages.value(), 16u);
   EXPECT_EQ(config->base_seed, 9u);
+  EXPECT_EQ(config->parallelism, (std::vector<int>{1, 4}));
+  EXPECT_TRUE(config->distinct_snapshots);
 }
 
 TEST(Scenario, RejectsBadInput) {
@@ -66,9 +74,11 @@ TEST(Scenario, RejectsBadInput) {
   EXPECT_FALSE(Parse(R"([1,2,3])").ok());  // root not an object
 }
 
-// Each value parses at an older, untyped parser and then aborts the run (a
-// CHECK in its consumer, a unit-overflow panic, std::length_error) or is
-// silently replaced by its default. All must be InvalidArgument naming the key.
+// All must be InvalidArgument naming the key. At an older, untyped parser each
+// value parsed and then aborted the run (a CHECK in its consumer, a
+// unit-overflow panic, std::length_error), overflowed a double-to-integer cast
+// (the extreme ratios) or was silently replaced by its default. A scalar
+// "parallelism" is the form the list replaced.
 TEST(Scenario, RejectsHostileValues) {
   const struct {
     const char* key;
@@ -79,6 +89,12 @@ TEST(Scenario, RejectsHostileValues) {
       {"prefetch_aging_us", R"({"functions": ["json"], "prefetch_aging_us": 10000000000000000})"},
       {"reps", R"({"functions": ["json"], "reps": "2"})"},
       {"parallelism", R"({"functions": ["json"], "parallelism": "8"})"},
+      {"parallelism", R"({"functions": ["json"], "parallelism": 16})"},
+      {"parallelism", R"({"functions": ["json"], "parallelism": []})"},
+      {"parallelism", R"({"functions": ["json"], "parallelism": [0]})"},
+      {"snapshots", R"({"functions": ["json"], "snapshots": "both"})"},
+      {"test_inputs", R"({"functions": ["json"], "test_inputs": ["1e300x"]})"},
+      {"test_inputs", R"({"functions": ["json"], "test_inputs": ["infx"]})"},
       {"cluster.hosts", R"({"functions": ["json"], "cluster": {"hosts": -1}})"},
       {"cluster.workload.count", R"({"functions": ["json"], "cluster": {"workload": {"count": -1}}})"},
       {"cluster.workload.mean_gap_us",
@@ -131,13 +147,15 @@ TEST(Scenario, ClusterBlockMakesAClusterScenario) {
 }
 
 TEST(Scenario, LoadsTheShippedConfigs) {
-  for (const std::string name : {"test-2inputs", "test-6inputs", "test-burst", "test-chaos",
-                                 "test-cluster", "test-remote", "trace-smoke"}) {
-    Result<Scenario> config =
-        LoadScenario(std::string(FAASNAP_SOURCE_DIR) + "/configs/" + name + ".json");
-    ASSERT_TRUE(config.ok()) << name << ": " << config.status().ToString();
-    EXPECT_FALSE(config->functions.empty()) << name;
-    EXPECT_EQ(config->cluster.has_value(), name == "test-cluster") << name;
+  const std::vector<std::string> paths = ShippedConfigPaths();
+  ASSERT_FALSE(paths.empty()) << "no configs/*.json found";
+  for (const std::string& path : paths) {
+    Result<Scenario> config = LoadScenario(path);
+    ASSERT_TRUE(config.ok()) << path << ": " << config.status().ToString();
+    EXPECT_FALSE(config->functions.empty()) << path;
+    EXPECT_EQ(config->cluster.has_value(),
+              std::filesystem::path(path).stem() == "test-cluster")
+        << path;
   }
 }
 
@@ -173,7 +191,7 @@ TEST(ExperimentRunner, BurstConfigAggregatesPerInvocation) {
     "systems": ["faasnap"],
     "test_inputs": ["A"],
     "reps": 1,
-    "parallelism": 4
+    "parallelism": [4]
   })");
   ASSERT_TRUE(config.ok());
   Result<ExperimentResults> results = RunExperiment(*config);
@@ -191,7 +209,7 @@ TEST(ExperimentRunner, AdmissionBurstShedsTypedOutcomes) {
     "systems": ["faasnap"],
     "test_inputs": ["A"],
     "reps": 1,
-    "parallelism": 8,
+    "parallelism": [8],
     "admission": {
       "max_concurrency": 1,
       "queue_capacity": 1,
@@ -217,6 +235,95 @@ TEST(ExperimentRunner, ClusterScenarioRejectsObservabilityOutputs) {
   Result<ClusterStats> stats = RunClusterScenario(*config);
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Per-system total_ms of a one-function scenario, keyed by system name.
+std::map<std::string, RunningStats> TotalsBySystem(const std::string& doc) {
+  Result<Scenario> config = Parse(doc);
+  EXPECT_TRUE(config.ok()) << config.status().ToString();
+  Result<ExperimentResults> results = RunExperiment(*config);
+  EXPECT_TRUE(results.ok()) << results.status().ToString();
+  std::map<std::string, RunningStats> totals;
+  for (const ExperimentCell& cell : results->cells) {
+    totals[cell.system] = cell.total_ms;
+  }
+  return totals;
+}
+
+// Each cell gets its own platform and its test input's contents depend on the
+// rep only, so listing the systems in another order moves no cell.
+TEST(ExperimentRunner, CellsDoNotDependOnTheOrderOfSystems) {
+  for (const char* input : {"B", "2x"}) {
+    const std::string tail = std::string(R"(], "test_inputs": [")") + input +
+                             R"("], "reps": 2})";
+    const auto forward = TotalsBySystem(
+        R"({"functions": ["json"], "systems": ["firecracker", "reap", "faasnap", "cached")" +
+        tail);
+    const auto reverse = TotalsBySystem(
+        R"({"functions": ["json"], "systems": ["cached", "faasnap", "reap", "firecracker")" +
+        tail);
+    ASSERT_EQ(forward.size(), 4u);
+    for (const auto& [system, stats] : forward) {
+      ASSERT_EQ(reverse.count(system), 1u) << system;
+      EXPECT_EQ(stats.mean(), reverse.at(system).mean()) << system << " " << input;
+      EXPECT_EQ(stats.stddev(), reverse.at(system).stddev()) << system << " " << input;
+    }
+  }
+}
+
+TEST(ExperimentRunner, RepeatedSystemGivesIdenticalCells) {
+  Result<Scenario> config = Parse(
+      R"({"functions": ["json"], "systems": ["cached", "cached"], "test_inputs": ["2x"],
+          "reps": 2})");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  Result<ExperimentResults> results = RunExperiment(*config);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_EQ(results->cells.size(), 2u);
+  EXPECT_EQ(results->cells[0].total_ms.mean(), results->cells[1].total_ms.mean());
+  EXPECT_EQ(results->cells[0].total_ms.stddev(), results->cells[1].total_ms.stddev());
+}
+
+TEST(ExperimentRunner, ParallelismListMakesOneCellPerValue) {
+  Result<Scenario> config = Parse(
+      R"({"functions": ["json"], "systems": ["reap", "faasnap"], "test_inputs": ["A"],
+          "parallelism": [1, 4], "reps": 1})");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  Result<ExperimentResults> results = RunExperiment(*config);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_EQ(results->cells.size(), 4u);
+  const int expected[] = {1, 1, 4, 4};
+  for (size_t i = 0; i < results->cells.size(); ++i) {
+    EXPECT_EQ(results->cells[i].parallelism, expected[i]);
+    EXPECT_EQ(results->cells[i].total_ms.count(), expected[i]);
+  }
+  EXPECT_NE(results->ToJson().find("\"parallelism\":4"), std::string::npos);
+
+  // The 1-way cells equal the cells of the same scenario without the list.
+  Result<Scenario> single = Parse(
+      R"({"functions": ["json"], "systems": ["reap", "faasnap"], "test_inputs": ["A"],
+          "reps": 1})");
+  ASSERT_TRUE(single.ok());
+  Result<ExperimentResults> single_results = RunExperiment(*single);
+  ASSERT_TRUE(single_results.ok());
+  ASSERT_EQ(single_results->cells.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(single_results->cells[i].parallelism, 1);
+    EXPECT_EQ(single_results->cells[i].total_ms.mean(), results->cells[i].total_ms.mean());
+  }
+}
+
+// Distinct snapshots share no page-cache pages: a Firecracker burst can no
+// longer warm the cache for its neighbours (Figure 10, right).
+TEST(ExperimentRunner, DistinctSnapshotsSlowAFirecrackerBurst) {
+  const auto burst = [](const char* snapshots) {
+    const auto totals = TotalsBySystem(
+        std::string(R"({"functions": ["hello-world"], "systems": ["firecracker"],
+                        "test_inputs": ["A"], "parallelism": [16], "reps": 1,
+                        "snapshots": ")") +
+        snapshots + R"("})");
+    return totals.at("firecracker").mean();
+  };
+  EXPECT_GT(burst("distinct"), burst("shared"));
 }
 
 TEST(ExperimentRunner, RatioInputsScaleWork) {

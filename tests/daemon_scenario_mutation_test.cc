@@ -13,6 +13,7 @@
 #include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/daemon/scenario.h"
+#include "tests/shipped_configs.h"
 
 namespace faasnap {
 namespace {
@@ -25,9 +26,8 @@ constexpr char kAlphabet[] = "{}[]\",:-+.eE0123456789 tfn\\";
 
 std::vector<std::string> ShippedConfigs() {
   std::vector<std::string> docs;
-  for (const char* name : {"test-2inputs", "test-6inputs", "test-burst", "test-chaos",
-                           "test-cluster", "test-remote", "trace-smoke"}) {
-    std::ifstream in(std::string(FAASNAP_SOURCE_DIR) + "/configs/" + name + ".json");
+  for (const std::string& path : ShippedConfigPaths()) {
+    std::ifstream in(path);
     std::stringstream buffer;
     buffer << in.rdbuf();
     docs.push_back(buffer.str());
@@ -70,6 +70,7 @@ std::string Mutate(std::string doc, const std::vector<std::string>& corpus, Rng&
 
 TEST(ScenarioMutation, EveryInputYieldsAValueOrAStatus) {
   const std::vector<std::string> corpus = ShippedConfigs();
+  ASSERT_FALSE(corpus.empty()) << "no configs/*.json found";
   for (const std::string& doc : corpus) {
     ASSERT_FALSE(doc.empty());
     Result<JsonValue> json = ParseJson(doc);

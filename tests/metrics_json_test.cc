@@ -1,8 +1,6 @@
-#include "src/metrics/json_writer.h"
+#include "src/common/json_writer.h"
 
 #include <gtest/gtest.h>
-
-#include "src/common/json_writer.h"
 
 namespace faasnap {
 namespace {
@@ -57,37 +55,6 @@ TEST(JsonWriterDeathTest, UnbalancedScopesAbort) {
         json.TakeString();
       },
       "unbalanced");
-}
-
-TEST(InvocationReportJson, ContainsAllSections) {
-  InvocationReport report;
-  report.function = "image";
-  report.mode = "faasnap";
-  report.setup_time = Duration::Millis(50);
-  report.invocation_time = Duration::Millis(130);
-  report.fetch_bytes = ByteCount::FromBytes(1234);
-  report.faults.RecordFault(FaultClass::kMinor, Duration::Micros(4));
-  report.faults.RecordFault(FaultClass::kMajor, Duration::Micros(100));
-  const std::string json = InvocationReportToJson(report);
-  EXPECT_NE(json.find("\"function\":\"image\""), std::string::npos);
-  EXPECT_NE(json.find("\"mode\":\"faasnap\""), std::string::npos);
-  EXPECT_NE(json.find("\"total_ms\":180"), std::string::npos);
-  EXPECT_NE(json.find("\"minor\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"major\":1"), std::string::npos);
-  EXPECT_NE(json.find("fault_latency_histogram"), std::string::npos);
-  EXPECT_NE(json.find("\"fetch_bytes\":1234"), std::string::npos);
-  // Balanced braces/brackets.
-  int depth = 0;
-  for (char c : json) {
-    if (c == '{' || c == '[') {
-      ++depth;
-    }
-    if (c == '}' || c == ']') {
-      --depth;
-    }
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
 }
 
 }  // namespace
