@@ -1,11 +1,14 @@
 // Shared helpers for the bench drivers.
 //
-// Each driver reproduces one table, ablation or extension that needs more than
-// a restore matrix: fault histograms, per-component timings, placements,
-// serving loops. It runs the record phase, then the test phase with caches
-// dropped between tests (section 6.1), and prints its own rows. Figures 6, 7,
-// 8, 10 and 11 are restore matrices: they run as configs/*.json through
-// examples/artifact_runner, and tests/paper_shapes_test.cc checks their shapes.
+// Each driver reproduces one table, ablation or extension that a restore
+// matrix cannot express: a fault-latency distribution (fig02), record-only
+// tables (tab01, tab02, ext_storage_cost), knob sweeps and snapshot surgery
+// (abl_*), snapshot placement (ext_tiered_storage) and serving loops. It runs
+// the record phase, then the test phase with caches dropped between tests
+// (section 6.1), and prints its own rows. Figures 1, 6, 7, 8, 9, 10 and 11,
+// Table 3 and the section 7.3 footprint are restore matrices: they run as
+// configs/*.json through examples/artifact_runner, and
+// tests/paper_shapes_test.cc checks their shapes.
 
 #ifndef FAASNAP_BENCH_BENCH_UTIL_H_
 #define FAASNAP_BENCH_BENCH_UTIL_H_
@@ -15,21 +18,10 @@
 
 #include "src/runtime/platform.h"
 #include "src/metrics/table.h"
-#include "src/obs/observability.h"
 #include "src/storage/device_profiles.h"
 
 namespace faasnap {
 namespace bench {
-
-// Process-wide observability sink for the bench drivers, enabled by the
-// FAASNAP_TRACE_OUT / FAASNAP_METRICS_OUT environment variables:
-//
-//   FAASNAP_TRACE_OUT=fig01.trace.json build/bench/fig01_time_breakdown
-//
-// Returns null when neither variable is set (the usual case — benchmarks pay
-// one branch per Experiment). Every Experiment attaches automatically and opens
-// its own track; the files are written once at process exit.
-Observability* BenchObservability();
 
 // One record phase + repeated test phases on a single platform, caches dropped
 // between tests.

@@ -157,9 +157,9 @@ int Run(int invocations, uint64_t seed, bool chaos, size_t slowest_k,
     std::printf("  %-40s %d\n", tag.c_str(), count);
   }
 
-  const int64_t ok = rec.outcome_count(ForensicOutcome::kOk);
-  const int64_t degraded = rec.outcome_count(ForensicOutcome::kDegraded);
-  const int64_t failed = rec.outcome_count(ForensicOutcome::kFailed);
+  const int64_t ok = rec.outcome_count(InvocationOutcome::kOk);
+  const int64_t degraded = rec.outcome_count(InvocationOutcome::kDegraded);
+  const int64_t failed = rec.outcome_count(InvocationOutcome::kFailed);
   const int64_t non_ok = degraded + failed;
   std::printf(
       "## forensics\n"

@@ -4,9 +4,11 @@
 // `test.py test-2inputs.json` etc.; this binary does the same against the
 // simulation platform:
 //
-//   ./build/examples/artifact_runner configs/test-2inputs.json          # E1, Figs 6-7
+//   ./build/examples/artifact_runner configs/test-breakdown.json        # Fig 1
+//   ./build/examples/artifact_runner configs/test-2inputs.json          # E1, Figs 6-7, 7.3
 //   ./build/examples/artifact_runner configs/test-2inputs-ba.json       # Fig 6, B->A
 //   ./build/examples/artifact_runner configs/test-6inputs.json          # E2, Fig 8
+//   ./build/examples/artifact_runner configs/test-ablation.json         # Fig 9, Tab 3
 //   ./build/examples/artifact_runner configs/test-burst.json            # E3, Fig 10
 //   ./build/examples/artifact_runner configs/test-burst-distinct.json   # Fig 10
 //   ./build/examples/artifact_runner configs/test-remote.json           # E4, Fig 11
@@ -14,7 +16,9 @@
 //   ./build/examples/artifact_runner configs/test-cluster.json          # sharded cluster
 //
 // A restore matrix prints a results table (or, with --json, one JSON object
-// per cell); a cluster scenario prints its ClusterStats summary document.
+// per cell that adds the fetch, page-fault, block-request and footprint means
+// Figure 9, Table 3 and section 7.3 read); a cluster scenario prints its
+// ClusterStats summary document.
 //
 // --trace-out=PATH / --metrics-out=PATH / --timeline-out=PATH /
 // --forensics-out=PATH write the Perfetto trace, metrics snapshot, windowed

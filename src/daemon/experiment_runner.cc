@@ -40,16 +40,33 @@ WorkloadInput ResolveInput(const TestInputSpec& spec, const FunctionSpec& functi
     case TestInputSpec::Kind::kInputB:
       return MakeInputB(function);
     case TestInputSpec::Kind::kRatio:
-      return MakeScaledInput(function, spec.ratio, content_seed);
+      // A fixed-input function keeps input A's contents at any size, as in
+      // MakeInputB and a burst's members.
+      return MakeScaledInput(function, spec.ratio,
+                             function.fixed_input ? MakeInputA(function).content_seed
+                                                  : content_seed);
   }
   FAASNAP_CHECK(false);
   return MakeInputA(function);
 }
 
+double Megabytes(ByteCount bytes) { return static_cast<double>(bytes.value()) / 1e6; }
+
 void RecordReport(ExperimentCell* cell, const InvocationReport& report) {
   cell->total_ms.Record(report.total_time().millis());
   cell->setup_ms.Record(report.setup_time.millis());
   cell->invocation_ms.Record(report.invocation_time.millis());
+  cell->fetch_ms.Record(report.fetch_time.millis());
+  cell->fetch_mb.Record(Megabytes(report.fetch_bytes));
+  cell->guest_pagefault_mb.Record(Megabytes(report.guest_pagefault_bytes));
+  cell->fault_ms.Record(report.faults.total_fault_time.millis());
+  cell->fault_wait_ms.Record(report.faults.total_wait_time.millis());
+  cell->major_faults.Record(static_cast<double>(report.faults.major_faults()));
+  cell->inflight_waits.Record(
+      static_cast<double>(report.faults.count(FaultClass::kInFlightWait)));
+  cell->fault_block_requests.Record(static_cast<double>(report.faults.fault_disk_requests));
+  const ByteCount footprint = PagesToBytes(report.anon_resident_pages + report.page_cache_pages);
+  cell->footprint_mib.Record(static_cast<double>(footprint.value()) / static_cast<double>(kMiB));
   TallyOutcome(cell, report);
 }
 
@@ -302,7 +319,16 @@ std::string ExperimentResults::ToJson() const {
         .Field("total_ms_mean", cell.total_ms.mean())
         .Field("total_ms_std", cell.total_ms.stddev())
         .Field("setup_ms_mean", cell.setup_ms.mean())
-        .Field("invocation_ms_mean", cell.invocation_ms.mean());
+        .Field("invocation_ms_mean", cell.invocation_ms.mean())
+        .Field("fetch_ms_mean", cell.fetch_ms.mean())
+        .Field("fetch_mb_mean", cell.fetch_mb.mean())
+        .Field("guest_pagefault_mb_mean", cell.guest_pagefault_mb.mean())
+        .Field("fault_ms_mean", cell.fault_ms.mean())
+        .Field("fault_wait_ms_mean", cell.fault_wait_ms.mean())
+        .Field("major_faults_mean", cell.major_faults.mean())
+        .Field("inflight_waits_mean", cell.inflight_waits.mean())
+        .Field("fault_block_requests_mean", cell.fault_block_requests.mean())
+        .Field("footprint_mib_mean", cell.footprint_mib.mean());
     if (!cell.all_ok()) {
       json.Field("ok", cell.ok)
           .Field("degraded", cell.degraded)

@@ -27,6 +27,20 @@ struct ExperimentCell {
   RunningStats total_ms;
   RunningStats setup_ms;
   RunningStats invocation_ms;
+  // The report fields Figure 9, Table 3 and section 7.3 read, one sample per
+  // invocation like the times above. MB is 1e6 bytes, as in the paper's tables.
+  RunningStats fetch_ms;
+  RunningStats fetch_mb;
+  RunningStats guest_pagefault_mb;
+  RunningStats fault_ms;       // page-fault handling time
+  RunningStats fault_wait_ms;  // handling plus blocked-vCPU waiting
+  RunningStats major_faults;
+  RunningStats inflight_waits;  // faults that waited on a read already issued
+  RunningStats fault_block_requests;
+  // Anonymous resident pages plus page-cache pages at completion, in MiB. The
+  // page cache is the host's, so this is one VM's footprint only at
+  // parallelism 1.
+  RunningStats footprint_mib;
   // Outcome tallies across the cell's invocations (all kOk on fault-free runs).
   int64_t ok = 0;
   int64_t degraded = 0;

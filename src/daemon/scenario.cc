@@ -253,11 +253,12 @@ Result<BlockDeviceProfile> ParseDevice(const std::string& name) {
   return InvalidArgumentError("must be nvme or ebs");
 }
 
-// Device, cores, FaaSnap tunables, disk scheduler, loader, readahead, fault
-// path and chaos.
+// Device, cores, guest vCPUs, FaaSnap tunables, disk scheduler, loader,
+// readahead, fault path and chaos.
 void ReadPlatform(FieldReader& in, uint64_t base_seed, PlatformConfig* out) {
   in.Parse("device", &out->disk, ParseDevice);
   in.Int("host_cores", &out->host_cores, 1);
+  in.Int("vcpus", &out->guest.vcpus, 1, kMaxGuestVcpus);
   in.Int("ws_group_size", &out->ws_group_size, 1);
   in.Pages("merge_gap_pages", &out->loading_set.merge_gap_pages);
   out->seed = base_seed;

@@ -21,6 +21,7 @@
 //   // Platform, both kinds.
 //   "device": "nvme",                           // "nvme" | "ebs"
 //   "host_cores": 96,                           // >= 1
+//   "vcpus": 2,                                 // per guest, in [1, kMaxGuestVcpus = 32]
 //   "ws_group_size": 1024,                      // >= 1
 //   "merge_gap_pages": 32,
 //   "base_seed": 1,                             // platform seed (matrix: + 7919 per rep)
@@ -159,8 +160,8 @@ struct Scenario {
   std::string name = "experiment";
   std::vector<FunctionSpec> functions;
 
-  // Platform knobs resolved from the shared keys (device, cores, FaaSnap
-  // tunables, fault path, chaos); platform.seed is base_seed.
+  // Platform knobs resolved from the shared keys (device, cores, guest vCPUs,
+  // FaaSnap tunables, fault path, chaos); platform.seed is base_seed.
   PlatformConfig platform;
   uint64_t base_seed = 1;
 

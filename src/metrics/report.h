@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/invocation_outcome.h"
 #include "src/common/sim_time.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
@@ -13,19 +14,6 @@
 #include "src/storage/block_device.h"
 
 namespace faasnap {
-
-// How an invocation ended under the failure-aware restore pipeline:
-//   kOk            — restored and ran exactly as requested,
-//   kDegraded      — completed correctly, but on a fallback path (e.g. a corrupt
-//                    loading set demoted FaaSnap to vanilla on-demand paging),
-//   kFailed        — terminated with a typed error; the function did not complete.
-//   kShedQueueFull — rejected by admission control on arrival: the bounded
-//                    per-host queue was full. The function never ran.
-//   kShedDeadline  — dropped by admission control after queueing: the request
-//                    exceeded its queueing deadline before a slot opened.
-enum class InvocationOutcome { kOk = 0, kDegraded, kFailed, kShedQueueFull, kShedDeadline };
-
-inline constexpr int kInvocationOutcomeCount = 5;
 
 struct InvocationReport {
   std::string function;

@@ -73,22 +73,6 @@ void HistogramFields(JsonWriter* json, const Log2Histogram& h) {
 
 }  // namespace
 
-std::string_view ForensicOutcomeName(ForensicOutcome outcome) {
-  switch (outcome) {
-    case ForensicOutcome::kOk:
-      return "ok";
-    case ForensicOutcome::kDegraded:
-      return "degraded";
-    case ForensicOutcome::kFailed:
-      return "failed";
-    case ForensicOutcome::kShedQueueFull:
-      return "shed_queue_full";
-    case ForensicOutcome::kShedDeadline:
-      return "shed_deadline";
-  }
-  return "unknown";
-}
-
 void FlightRecorder::Configure(const ForensicsConfig& config, MetricsRegistry* metrics) {
   FAASNAP_CHECK(buffer_ == nullptr && "flight recorder configured twice");
   FAASNAP_CHECK(config.buffer_capacity > 0);
@@ -100,10 +84,10 @@ void FlightRecorder::Configure(const ForensicsConfig& config, MetricsRegistry* m
     phase_digests_.push_back(std::make_unique<Log2Histogram>(kDigestLower, kDigestBuckets));
   }
   if (metrics != nullptr) {
-    for (size_t i = 0; i < kForensicOutcomeCount; ++i) {
+    for (int i = 0; i < kInvocationOutcomeCount; ++i) {
       outcome_metrics_[i] = metrics->GetCounter(
           "forensics.invocations",
-          {{"outcome", std::string(ForensicOutcomeName(static_cast<ForensicOutcome>(i)))}});
+          {{"outcome", std::string(InvocationOutcomeName(static_cast<InvocationOutcome>(i)))}});
     }
     retained_slowest_metric_ =
         metrics->GetCounter("forensics.retained", {{"reason", "slowest"}});
@@ -122,7 +106,7 @@ void FlightRecorder::OnInvokeBegin() {
   ++in_flight_;
 }
 
-void FlightRecorder::OnInvokeEnd(SpanId invoke_span, ForensicOutcome outcome,
+void FlightRecorder::OnInvokeEnd(SpanId invoke_span, InvocationOutcome outcome,
                                  std::string_view function, Duration total) {
   if (!enabled()) {
     return;
@@ -148,7 +132,7 @@ void FlightRecorder::OnInvokeEnd(SpanId invoke_span, ForensicOutcome outcome,
     for (size_t i = 0; i < kPhaseCount; ++i) {
       phase_digests_[i]->Record(PhaseValue(*bd, i));
     }
-    if (outcome != ForensicOutcome::kOk) {
+    if (outcome != InvocationOutcome::kOk) {
       if (non_ok_.size() < config_.max_non_ok) {
         non_ok_.push_back(Extract(invoke_span, outcome, function, total, *bd));
         non_ok_.back().seq = seq;
@@ -196,7 +180,7 @@ void FlightRecorder::MaybeRecycle() {
 }
 
 FlightRecorder::RetainedInvocation FlightRecorder::Extract(
-    SpanId invoke_span, ForensicOutcome outcome, std::string_view function, Duration total,
+    SpanId invoke_span, InvocationOutcome outcome, std::string_view function, Duration total,
     const CriticalPathBreakdown& breakdown) const {
   RetainedInvocation out;
   out.function = std::string(function);
@@ -282,7 +266,7 @@ std::string FlightRecorder::ExportRetainedTrace() const {
     char label[192];
     std::snprintf(label, sizeof(label), "inv %llu %s %s",
                   static_cast<unsigned long long>(inv->seq), inv->function.c_str(),
-                  std::string(ForensicOutcomeName(inv->outcome)).c_str());
+                  std::string(InvocationOutcomeName(inv->outcome)).c_str());
     replay.BeginTrack(label);
     std::vector<SpanId> ids(inv->spans.size() + 1, kNoSpan);
     for (size_t j = 0; j < inv->spans.size(); ++j) {
@@ -353,7 +337,7 @@ std::string FlightRecorder::SummaryToJson() const {
     json.BeginObject()
         .Field("seq", inv->seq)
         .Field("function", inv->function)
-        .Field("outcome", std::string(ForensicOutcomeName(inv->outcome)))
+        .Field("outcome", std::string(InvocationOutcomeName(inv->outcome)))
         .Field("total_ns", inv->total)
         .Field("spans", static_cast<int64_t>(inv->spans.size()))
         .Field("dispatch_ns", inv->breakdown.dispatch.nanos())

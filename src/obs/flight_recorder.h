@@ -37,35 +37,20 @@
 #include <vector>
 
 #include "src/common/histogram.h"
+#include "src/common/invocation_outcome.h"
 #include "src/obs/critical_path.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/span_tracer.h"
 
 namespace faasnap {
 
-// Invocation outcome as the recorder sees it. Mirrors the runtime's
-// InvocationOutcome ladder (ok < degraded < failed < shed) without depending
-// on src/metrics: obs sits below runtime in the layering DAG. Shed outcomes
-// (admission control rejected or deadline-dropped the arrival before any work
-// ran) count as non-ok for retention: an overloaded host's drops are exactly
-// what a post-incident reader wants span detail for.
-enum class ForensicOutcome : uint8_t {
-  kOk = 0,
-  kDegraded = 1,
-  kFailed = 2,
-  kShedQueueFull = 3,
-  kShedDeadline = 4,
-};
-
-inline constexpr size_t kForensicOutcomeCount = 5;
-
-std::string_view ForensicOutcomeName(ForensicOutcome outcome);
-
 struct ForensicsConfig {
   // Retain full span detail for the K slowest ok invocations...
   size_t slowest_k = 16;
   // ...and for every non-ok invocation up to this cap (first-come, the same
-  // drop-when-full policy as the span tracer; overflow is counted).
+  // drop-when-full policy as the span tracer; overflow is counted). Shed
+  // outcomes count as non-ok: an overloaded host's drops are exactly what a
+  // post-incident reader wants span detail for.
   size_t max_non_ok = 1024;
   // Span-buffer capacity: bounds *concurrent* spans, not run length.
   size_t buffer_capacity = size_t{1} << 16;
@@ -78,7 +63,7 @@ class FlightRecorder {
   struct RetainedInvocation {
     uint64_t seq = 0;  // invocation ordinal within the recorder's lifetime
     std::string function;
-    ForensicOutcome outcome = ForensicOutcome::kOk;
+    InvocationOutcome outcome = InvocationOutcome::kOk;
     Duration total;
     CriticalPathBreakdown breakdown;
     std::vector<SpanRecord> spans;   // rec.name indexes `names`, 1-based parents
@@ -104,7 +89,7 @@ class FlightRecorder {
   // the buffer when nothing else is in flight. `invoke_span` may be kNoSpan
   // (buffer exhausted): the invocation still counts, with no span detail.
   void OnInvokeBegin();
-  void OnInvokeEnd(SpanId invoke_span, ForensicOutcome outcome, std::string_view function,
+  void OnInvokeEnd(SpanId invoke_span, InvocationOutcome outcome, std::string_view function,
                    Duration total);
 
   // Recycles the buffer if safe (no invocation in flight, no open span).
@@ -113,8 +98,8 @@ class FlightRecorder {
 
   // Streaming totals.
   int64_t invocations() const { return invocations_; }
-  int64_t outcome_count(ForensicOutcome outcome) const {
-    return outcome_counts_[static_cast<size_t>(outcome)];
+  int64_t outcome_count(InvocationOutcome outcome) const {
+    return outcome_counts_[static_cast<int>(outcome)];
   }
   int64_t dropped_non_ok() const { return dropped_non_ok_; }
   int64_t unanalyzed() const { return unanalyzed_; }
@@ -133,7 +118,7 @@ class FlightRecorder {
   std::string SummaryToJson() const;
 
  private:
-  RetainedInvocation Extract(SpanId invoke_span, ForensicOutcome outcome,
+  RetainedInvocation Extract(SpanId invoke_span, InvocationOutcome outcome,
                              std::string_view function, Duration total,
                              const CriticalPathBreakdown& breakdown) const;
 
@@ -142,7 +127,7 @@ class FlightRecorder {
 
   // Streaming digests: every invocation lands here, retained or not.
   int64_t invocations_ = 0;
-  int64_t outcome_counts_[kForensicOutcomeCount] = {};
+  int64_t outcome_counts_[kInvocationOutcomeCount] = {};
   int64_t unanalyzed_ = 0;  // invoke span missing (buffer full): no breakdown
   int64_t recycles_ = 0;
   std::unique_ptr<Log2Histogram> total_digest_;
@@ -155,7 +140,7 @@ class FlightRecorder {
   size_t in_flight_ = 0;
 
   // Conditionally registered series (null without a registry).
-  Counter* outcome_metrics_[kForensicOutcomeCount] = {};
+  Counter* outcome_metrics_[kInvocationOutcomeCount] = {};
   Counter* retained_slowest_metric_ = nullptr;
   Counter* retained_non_ok_metric_ = nullptr;
   Counter* dropped_non_ok_metric_ = nullptr;

@@ -15,24 +15,6 @@ namespace faasnap {
 
 namespace {
 
-// InvocationOutcome and ForensicOutcome mirror each other (obs cannot depend
-// on src/metrics in the layering DAG); translate at the boundary.
-ForensicOutcome ToForensicOutcome(InvocationOutcome outcome) {
-  switch (outcome) {
-    case InvocationOutcome::kOk:
-      return ForensicOutcome::kOk;
-    case InvocationOutcome::kDegraded:
-      return ForensicOutcome::kDegraded;
-    case InvocationOutcome::kFailed:
-      return ForensicOutcome::kFailed;
-    case InvocationOutcome::kShedQueueFull:
-      return ForensicOutcome::kShedQueueFull;
-    case InvocationOutcome::kShedDeadline:
-      return ForensicOutcome::kShedDeadline;
-  }
-  return ForensicOutcome::kFailed;
-}
-
 // Pressure-ladder degradation of the per-invocation prefetch machinery: shrink
 // every readahead window and cap the loader's pipeline depth. Null overrides
 // (the normal case) return the config untouched, keeping the legacy path
@@ -118,12 +100,10 @@ void Platform::SetObservability(SpanTracer* spans, MetricsRegistry* metrics) {
   if (chaos_ != nullptr) {
     chaos_->set_observability(metrics);
     for (int i = 0; i < kInvocationOutcomeCount; ++i) {
-      static constexpr std::string_view kOutcomes[kInvocationOutcomeCount] = {
-          "ok", "degraded", "failed", "shed_queue_full", "shed_deadline"};
+      const std::string_view name = InvocationOutcomeName(static_cast<InvocationOutcome>(i));
       outcome_counters_[i] =
           metrics != nullptr
-              ? metrics->GetCounter("invocations.outcome",
-                                    {{"outcome", std::string(kOutcomes[i])}})
+              ? metrics->GetCounter("invocations.outcome", {{"outcome", std::string(name)}})
               : nullptr;
     }
   }
@@ -254,8 +234,7 @@ InvocationReport Platform::ReportShed(const FunctionSnapshot& snapshot,
     spans_->End(invoke_span, sim_.now(), static_cast<uint64_t>(outcome));
   }
   if (forensics_ != nullptr) {
-    forensics_->OnInvokeEnd(invoke_span, ToForensicOutcome(outcome), report.function,
-                            sim_.now() - arrival_time);
+    forensics_->OnInvokeEnd(invoke_span, outcome, report.function, sim_.now() - arrival_time);
   }
   if (timeline_ != nullptr) {
     timeline_->Advance(sim_.now());
@@ -309,8 +288,8 @@ void Platform::InvokeAsync(const FunctionSnapshot& snapshot, RestoreMode mode,
         spans_->End(invoke_span, sim_.now(), static_cast<uint64_t>(report.outcome));
       }
       if (forensics_ != nullptr) {
-        forensics_->OnInvokeEnd(invoke_span, ToForensicOutcome(report.outcome),
-                                report.function, sim_.now() - request_time);
+        forensics_->OnInvokeEnd(invoke_span, report.outcome, report.function,
+                                sim_.now() - request_time);
       }
       if (timeline_ != nullptr) {
         timeline_->Advance(sim_.now());
@@ -429,8 +408,8 @@ void Platform::InvokeAsync(const FunctionSnapshot& snapshot, RestoreMode mode,
           spans_->End(invoke_span, sim_.now(), static_cast<uint64_t>(report.outcome));
         }
         if (forensics_ != nullptr) {
-          forensics_->OnInvokeEnd(invoke_span, ToForensicOutcome(report.outcome),
-                                  report.function, sim_.now() - ctx->request_time);
+          forensics_->OnInvokeEnd(invoke_span, report.outcome, report.function,
+                                  sim_.now() - ctx->request_time);
         }
         if (timeline_ != nullptr) {
           timeline_->Advance(sim_.now());

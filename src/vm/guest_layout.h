@@ -26,6 +26,11 @@
 
 namespace faasnap {
 
+// The most vCPUs a guest may have: Firecracker caps a microVM at 32. The bound
+// also keeps a burst's runnable-vCPU count (parallelism x vcpus) far from the
+// range of CpuModel's int counter.
+inline constexpr int kMaxGuestVcpus = 32;
+
 struct GuestConfig {
   PageCount mem_pages = BytesToPages(GiB(2));
   int vcpus = 2;  // the paper uses 1 vCPU in section 3 and 2 vCPUs in section 6

@@ -5,6 +5,7 @@
 
 #include "src/daemon/experiment_runner.h"
 #include "src/daemon/scenario.h"
+#include "src/runtime/platform.h"
 #include "tests/shipped_configs.h"
 
 namespace faasnap {
@@ -44,6 +45,7 @@ TEST(Scenario, FullConfigParses) {
     "device": "ebs",
     "ws_group_size": 256,
     "merge_gap_pages": 16,
+    "vcpus": 1,
     "base_seed": 9
   })");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
@@ -58,6 +60,7 @@ TEST(Scenario, FullConfigParses) {
   EXPECT_EQ(config->platform.disk.name, "ebs-io2");
   EXPECT_EQ(config->platform.ws_group_size, 256u);
   EXPECT_EQ(config->platform.loading_set.merge_gap_pages.value(), 16u);
+  EXPECT_EQ(config->platform.guest.vcpus, 1);
   EXPECT_EQ(config->base_seed, 9u);
   EXPECT_EQ(config->parallelism, (std::vector<int>{1, 4}));
   EXPECT_TRUE(config->distinct_snapshots);
@@ -80,6 +83,7 @@ TEST(Scenario, RejectsBadInput) {
 // (the extreme ratios) or was silently replaced by its default. A scalar
 // "parallelism" is the form the list replaced.
 TEST(Scenario, RejectsHostileValues) {
+  static_assert(kMaxGuestVcpus + 1 == 33, "the vcpus case below is one above the bound");
   const struct {
     const char* key;
     const char* doc;
@@ -87,6 +91,11 @@ TEST(Scenario, RejectsHostileValues) {
       {"host_cores", R"({"functions": ["json"], "host_cores": 0})"},
       {"ws_group_size", R"({"functions": ["json"], "ws_group_size": 0})"},
       {"prefetch_aging_us", R"({"functions": ["json"], "prefetch_aging_us": 10000000000000000})"},
+      {"vcpus", R"({"functions": ["json"], "vcpus": 0})"},
+      {"vcpus", R"({"functions": ["json"], "vcpus": -1})"},
+      {"vcpus", R"({"functions": ["json"], "vcpus": 33})"},
+      {"vcpus", R"({"functions": ["json"], "vcpus": "2"})"},
+      {"vcpus", R"({"functions": ["json"], "vcpus": 1e300})"},
       {"reps", R"({"functions": ["json"], "reps": "2"})"},
       {"parallelism", R"({"functions": ["json"], "parallelism": "8"})"},
       {"parallelism", R"({"functions": ["json"], "parallelism": 16})"},
@@ -324,6 +333,78 @@ TEST(ExperimentRunner, DistinctSnapshotsSlowAFirecrackerBurst) {
     return totals.at("firecracker").mean();
   };
   EXPECT_GT(burst("distinct"), burst("shared"));
+}
+
+// A 1-way, 1-rep cell holds exactly the report of one Platform::Invoke with
+// the same seed, record input and test input.
+TEST(ExperimentRunner, CellFieldsAreTheInvocationReport) {
+  Result<Scenario> config = Parse(R"({"functions": ["image"], "systems": ["reap", "faasnap"],
+                                      "test_inputs": ["B"], "reps": 1, "base_seed": 5})");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  Result<ExperimentResults> results = RunExperiment(*config);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_EQ(results->cells.size(), 2u);
+  for (const ExperimentCell& cell : results->cells) {
+    Platform platform(config->platform);
+    const TraceGenerator generator(config->functions[0], config->platform.layout);
+    const FunctionSnapshot snapshot = platform.Record(generator, MakeInputA(generator.spec()));
+    platform.DropCaches();
+    const InvocationReport r = platform.Invoke(snapshot, *ParseRestoreMode(cell.system),
+                                               generator, MakeInputB(generator.spec()));
+    ASSERT_EQ(cell.fetch_ms.count(), 1) << cell.system;
+    EXPECT_EQ(cell.total_ms.mean(), r.total_time().millis()) << cell.system;
+    EXPECT_EQ(cell.fetch_ms.mean(), r.fetch_time.millis()) << cell.system;
+    EXPECT_EQ(cell.fetch_mb.mean(), static_cast<double>(r.fetch_bytes.value()) / 1e6)
+        << cell.system;
+    EXPECT_EQ(cell.guest_pagefault_mb.mean(),
+              static_cast<double>(r.guest_pagefault_bytes.value()) / 1e6)
+        << cell.system;
+    EXPECT_EQ(cell.fault_ms.mean(), r.faults.total_fault_time.millis()) << cell.system;
+    EXPECT_EQ(cell.fault_wait_ms.mean(), r.faults.total_wait_time.millis()) << cell.system;
+    EXPECT_EQ(cell.major_faults.mean(), static_cast<double>(r.faults.major_faults()))
+        << cell.system;
+    EXPECT_EQ(cell.inflight_waits.mean(),
+              static_cast<double>(r.faults.count(FaultClass::kInFlightWait)))
+        << cell.system;
+    EXPECT_EQ(cell.fault_block_requests.mean(),
+              static_cast<double>(r.faults.fault_disk_requests))
+        << cell.system;
+    EXPECT_EQ(cell.footprint_mib.mean(),
+              static_cast<double>(
+                  PagesToBytes(r.anon_resident_pages + r.page_cache_pages).value()) /
+                  (1024.0 * 1024.0))
+        << cell.system;
+    EXPECT_GT(r.fetch_bytes.value(), 0u) << cell.system;
+    EXPECT_GT(r.faults.fault_disk_requests, 0u) << cell.system;
+  }
+  const std::string json = results->ToJson();
+  for (const char* key : {"fetch_ms_mean", "fetch_mb_mean", "guest_pagefault_mb_mean",
+                          "fault_ms_mean", "fault_wait_ms_mean", "major_faults_mean",
+                          "inflight_waits_mean", "fault_block_requests_mean",
+                          "footprint_mib_mean"}) {
+    EXPECT_NE(json.find(std::string("\"") + key + "\":"), std::string::npos) << key;
+  }
+}
+
+// A ratio input resizes a fixed-input function's input but keeps input A's
+// contents, so "1x" is input A itself, as input B and burst members are.
+TEST(ExperimentRunner, FixedInputRatioKeepsInputAContents) {
+  Result<Scenario> config = Parse(R"({"functions": ["hello-world", "read-list"],
+                                      "systems": ["reap"], "test_inputs": ["A", "1x"],
+                                      "reps": 2})");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  Result<ExperimentResults> results = RunExperiment(*config);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_EQ(results->cells.size(), 4u);
+  for (size_t i = 0; i < results->cells.size(); i += 2) {
+    const ExperimentCell& a = results->cells[i];
+    const ExperimentCell& ratio = results->cells[i + 1];
+    ASSERT_EQ(a.test_input, "A");
+    ASSERT_EQ(ratio.test_input, "1x");
+    EXPECT_EQ(ratio.total_ms.mean(), a.total_ms.mean()) << a.function;
+    EXPECT_EQ(ratio.total_ms.stddev(), a.total_ms.stddev()) << a.function;
+    EXPECT_EQ(ratio.fault_wait_ms.mean(), a.fault_wait_ms.mean()) << a.function;
+  }
 }
 
 TEST(ExperimentRunner, RatioInputsScaleWork) {

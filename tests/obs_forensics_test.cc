@@ -22,7 +22,7 @@ namespace {
 // Records one synthetic invocation into the recorder's buffer: an invoke span
 // starting at `start_ns` with a dispatch+setup+invocation skeleton, then
 // commits it with `outcome`.
-void Invoke(FlightRecorder* rec, int64_t start_ns, int64_t total_ns, ForensicOutcome outcome,
+void Invoke(FlightRecorder* rec, int64_t start_ns, int64_t total_ns, InvocationOutcome outcome,
             const std::string& function = "json") {
   rec->OnInvokeBegin();
   SpanTracer* spans = rec->buffer();
@@ -55,7 +55,7 @@ TEST(FlightRecorderTest, DisabledRecorderIsInert) {
   FlightRecorder rec;
   EXPECT_FALSE(rec.enabled());
   rec.OnInvokeBegin();
-  rec.OnInvokeEnd(kNoSpan, ForensicOutcome::kOk, "json", Duration::Nanos(100));
+  rec.OnInvokeEnd(kNoSpan, InvocationOutcome::kOk, "json", Duration::Nanos(100));
   rec.MaybeRecycle();
   EXPECT_EQ(rec.invocations(), 0);
   EXPECT_EQ(rec.SummaryToJson(), "{\"enabled\":false}");
@@ -71,11 +71,11 @@ TEST(FlightRecorderTest, RetainsExactlyTheSlowestK) {
                             70'000, 20'000, 80'000, 40'000, 60'000};
   int64_t start = 0;
   for (const int64_t t : totals) {
-    Invoke(&rec, start, t, ForensicOutcome::kOk);
+    Invoke(&rec, start, t, InvocationOutcome::kOk);
     start += 1'000'000;
   }
   EXPECT_EQ(rec.invocations(), 10);
-  EXPECT_EQ(rec.outcome_count(ForensicOutcome::kOk), 10);
+  EXPECT_EQ(rec.outcome_count(InvocationOutcome::kOk), 10);
   const std::multiset<int64_t> kept = RetainedTotals(rec.retained_slowest());
   EXPECT_EQ(kept, (std::multiset<int64_t>{80'000, 90'000, 100'000}));
   EXPECT_TRUE(rec.retained_non_ok().empty());
@@ -87,7 +87,7 @@ TEST(FlightRecorderTest, SlownessTiesBreakTowardRecentInvocations) {
   config.slowest_k = 2;
   rec.Configure(config, nullptr);
   for (int i = 0; i < 5; ++i) {
-    Invoke(&rec, i * 1'000'000, 50'000, ForensicOutcome::kOk);
+    Invoke(&rec, i * 1'000'000, 50'000, InvocationOutcome::kOk);
   }
   std::vector<uint64_t> seqs;
   for (const auto& r : rec.retained_slowest()) {
@@ -106,15 +106,15 @@ TEST(FlightRecorderTest, NonOkAlwaysRetainedUpToCap) {
   config.max_non_ok = 2;
   rec.Configure(config, nullptr);
   // Fast failures: far from the slowest tail, still retained.
-  Invoke(&rec, 0, 1'000, ForensicOutcome::kDegraded);
-  Invoke(&rec, 1'000'000, 2'000, ForensicOutcome::kFailed);
-  Invoke(&rec, 2'000'000, 3'000, ForensicOutcome::kFailed);  // over the cap
-  Invoke(&rec, 3'000'000, 999'000, ForensicOutcome::kOk);
-  EXPECT_EQ(rec.outcome_count(ForensicOutcome::kDegraded), 1);
-  EXPECT_EQ(rec.outcome_count(ForensicOutcome::kFailed), 2);
+  Invoke(&rec, 0, 1'000, InvocationOutcome::kDegraded);
+  Invoke(&rec, 1'000'000, 2'000, InvocationOutcome::kFailed);
+  Invoke(&rec, 2'000'000, 3'000, InvocationOutcome::kFailed);  // over the cap
+  Invoke(&rec, 3'000'000, 999'000, InvocationOutcome::kOk);
+  EXPECT_EQ(rec.outcome_count(InvocationOutcome::kDegraded), 1);
+  EXPECT_EQ(rec.outcome_count(InvocationOutcome::kFailed), 2);
   ASSERT_EQ(rec.retained_non_ok().size(), 2u);
-  EXPECT_EQ(rec.retained_non_ok()[0].outcome, ForensicOutcome::kDegraded);
-  EXPECT_EQ(rec.retained_non_ok()[1].outcome, ForensicOutcome::kFailed);
+  EXPECT_EQ(rec.retained_non_ok()[0].outcome, InvocationOutcome::kDegraded);
+  EXPECT_EQ(rec.retained_non_ok()[1].outcome, InvocationOutcome::kFailed);
   EXPECT_EQ(rec.dropped_non_ok(), 1);
   // The digests still saw the dropped one.
   EXPECT_EQ(rec.invocations(), 4);
@@ -127,7 +127,7 @@ TEST(FlightRecorderTest, BufferRecyclesBetweenInvocations) {
   config.buffer_capacity = 64;  // tiny: 100k-style soaks only work if recycled
   rec.Configure(config, nullptr);
   for (int i = 0; i < 500; ++i) {
-    Invoke(&rec, i * 1'000'000, 10'000 + i, ForensicOutcome::kOk);
+    Invoke(&rec, i * 1'000'000, 10'000 + i, InvocationOutcome::kOk);
   }
   EXPECT_EQ(rec.invocations(), 500);
   EXPECT_GT(rec.recycles(), 0);
@@ -141,7 +141,7 @@ TEST(FlightRecorderTest, MissingInvokeSpanCountsAsUnanalyzed) {
   FlightRecorder rec;
   rec.Configure(ForensicsConfig{}, nullptr);
   rec.OnInvokeBegin();
-  rec.OnInvokeEnd(kNoSpan, ForensicOutcome::kOk, "json", Duration::Nanos(5'000));
+  rec.OnInvokeEnd(kNoSpan, InvocationOutcome::kOk, "json", Duration::Nanos(5'000));
   EXPECT_EQ(rec.invocations(), 1);
   EXPECT_EQ(rec.unanalyzed(), 1);
 }
@@ -151,8 +151,8 @@ TEST(FlightRecorderTest, MissingInvokeSpanCountsAsUnanalyzed) {
 TEST(FlightRecorderTest, DegradedAndFailedBreakdownsPartitionExactly) {
   FlightRecorder rec;
   rec.Configure(ForensicsConfig{}, nullptr);
-  Invoke(&rec, 0, 100'000, ForensicOutcome::kDegraded);
-  Invoke(&rec, 1'000'000, 60'000, ForensicOutcome::kFailed);
+  Invoke(&rec, 0, 100'000, InvocationOutcome::kDegraded);
+  Invoke(&rec, 1'000'000, 60'000, InvocationOutcome::kFailed);
   ASSERT_EQ(rec.retained_non_ok().size(), 2u);
   for (const auto& r : rec.retained_non_ok()) {
     EXPECT_EQ(r.breakdown.Sum().nanos(), r.total.nanos())
@@ -170,8 +170,8 @@ TEST(FlightRecorderTest, OutcomeReachesExportedTrace) {
   ForensicsConfig config;
   config.slowest_k = 1;
   rec.Configure(config, nullptr);
-  Invoke(&rec, 0, 80'000, ForensicOutcome::kDegraded, "pyaes");
-  Invoke(&rec, 1'000'000, 90'000, ForensicOutcome::kOk, "json");
+  Invoke(&rec, 0, 80'000, InvocationOutcome::kDegraded, "pyaes");
+  Invoke(&rec, 1'000'000, 90'000, InvocationOutcome::kOk, "json");
   const std::string trace = rec.ExportRetainedTrace();
   // One track per retained invocation, labeled with seq, function, outcome.
   EXPECT_NE(trace.find("inv 0 pyaes degraded"), std::string::npos) << trace;
@@ -183,9 +183,9 @@ TEST(FlightRecorderTest, SummaryDigestIsValidJsonWithRetainedIndex) {
   ForensicsConfig config;
   config.slowest_k = 2;
   rec.Configure(config, nullptr);
-  Invoke(&rec, 0, 40'000, ForensicOutcome::kOk);
-  Invoke(&rec, 1'000'000, 90'000, ForensicOutcome::kOk);
-  Invoke(&rec, 2'000'000, 5'000, ForensicOutcome::kFailed);
+  Invoke(&rec, 0, 40'000, InvocationOutcome::kOk);
+  Invoke(&rec, 1'000'000, 90'000, InvocationOutcome::kOk);
+  Invoke(&rec, 2'000'000, 5'000, InvocationOutcome::kFailed);
   Result<JsonValue> doc = ParseJson(rec.SummaryToJson());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   EXPECT_EQ(doc->GetIntOr("invocations", -1), 3);
@@ -218,9 +218,9 @@ TEST(FlightRecorderTest, MetricsRegisteredOnlyWithRegistry) {
   config.max_non_ok = 1;
   rec.Configure(config, &registry);
   EXPECT_GT(registry.size(), 0u);
-  Invoke(&rec, 0, 50'000, ForensicOutcome::kOk);
-  Invoke(&rec, 1'000'000, 70'000, ForensicOutcome::kDegraded);
-  Invoke(&rec, 2'000'000, 80'000, ForensicOutcome::kDegraded);  // over cap
+  Invoke(&rec, 0, 50'000, InvocationOutcome::kOk);
+  Invoke(&rec, 1'000'000, 70'000, InvocationOutcome::kDegraded);
+  Invoke(&rec, 2'000'000, 80'000, InvocationOutcome::kDegraded);  // over cap
   EXPECT_EQ(registry.GetCounter("forensics.invocations", {{"outcome", "ok"}})->Get(), 1);
   EXPECT_EQ(registry.GetCounter("forensics.invocations", {{"outcome", "degraded"}})->Get(), 2);
   EXPECT_EQ(registry.GetCounter("forensics.retained", {{"reason", "slowest"}})->Get(), 1);
@@ -250,7 +250,7 @@ TEST(FlightRecorderTest, PlatformDrivesRecorderEndToEnd) {
     EXPECT_EQ(report.outcome, InvocationOutcome::kOk);
   }
   EXPECT_EQ(obs.forensics.invocations(), 5);
-  EXPECT_EQ(obs.forensics.outcome_count(ForensicOutcome::kOk), 5);
+  EXPECT_EQ(obs.forensics.outcome_count(InvocationOutcome::kOk), 5);
   EXPECT_EQ(obs.forensics.unanalyzed(), 0);
   EXPECT_GT(obs.forensics.recycles(), 0);
   ASSERT_EQ(obs.forensics.retained_slowest().size(), 2u);
