@@ -64,6 +64,16 @@ FaultInjector::FaultInjector(Simulation* sim, ChaosConfig config)
   InitWindow(&squeeze_);
 }
 
+void FaultInjector::CopyStateFrom(const FaultInjector& source) {
+  FAASNAP_CHECK(config_.seed == source.config_.seed);
+  device_rngs_ = source.device_rngs_;
+  stall_rng_ = source.stall_rng_;
+  outage_ = source.outage_;
+  burst_ = source.burst_;
+  squeeze_ = source.squeeze_;
+  armed_ = source.armed_;
+}
+
 void FaultInjector::set_observability(MetricsRegistry* metrics) {
   static constexpr const char* kKindNames[kKindCount] = {
       "read_error",   "read_delay",   "outage_read", "loader_stall",

@@ -103,6 +103,11 @@ class FaultInjector {
   // `squeeze_budget_fraction` inside a squeeze window, 1.0 outside.
   double MemoryBudgetFraction(SimTime now);
 
+  // Takes `source`'s decision streams, window processes and armed flag, so
+  // both injectors make the same future decisions. The configs must match;
+  // the simulation and metrics attachments stay this injector's own.
+  void CopyStateFrom(const FaultInjector& source);
+
   // Disarms/rearms read-error, delay, outage, and stall injection (used to
   // spare the record phase). Corruption decisions are unaffected.
   void set_armed(bool armed) { armed_ = armed; }

@@ -11,6 +11,9 @@ namespace faasnap {
 struct ClusterSimulator::Shard {
   explicit Shard(const ClusterConfig& config)
       : platform(config.platform), scheduler(&platform, config.host) {}
+  // A copy of a quiescent `source` (see Platform's copy constructor).
+  explicit Shard(const Shard& source)
+      : platform(source.platform), scheduler(&platform, source.scheduler) {}
 
   Platform platform;
   HostScheduler scheduler;
@@ -25,26 +28,15 @@ ClusterSimulator::ClusterSimulator(ClusterConfig config)
       pool_(config_.worker_threads) {
   FAASNAP_CHECK(config_.hosts > 0);
   FAASNAP_CHECK(config_.sync_quantum > Duration::Zero());
-  shards_.reserve(config_.hosts);
-  for (size_t i = 0; i < config_.hosts; ++i) {
-    shards_.push_back(std::make_unique<Shard>(config_));
-  }
+  // Shard 0 records every function; Run copies it to the other hosts.
+  shards_.push_back(std::make_unique<Shard>(config_));
 }
 
 ClusterSimulator::~ClusterSimulator() = default;
 
 size_t ClusterSimulator::AddFunction(const FunctionSpec& spec) {
-  // Each host records its own snapshot (snapshots are host-local: the pages
-  // live in that host's files and page cache). The record phases are
-  // identical, independent work — one shard per worker.
-  std::vector<size_t> indices(shards_.size(), 0);
-  pool_.ParallelFor(shards_.size(), [&](size_t i) {
-    indices[i] = shards_[i]->scheduler.AddFunction(spec);
-  });
-  for (size_t index : indices) {
-    FAASNAP_CHECK(index == indices[0]);
-  }
-  return function_count_++;
+  FAASNAP_CHECK(!ran_);
+  return shards_[0]->scheduler.AddFunction(spec);
 }
 
 void ClusterSimulator::SnapshotViews(std::vector<HostView>* views) const {
@@ -55,8 +47,9 @@ void ClusterSimulator::SnapshotViews(std::vector<HostView>* views) const {
     view.outstanding = shard->scheduler.OutstandingLoad();
     view.pool_bytes = shard->scheduler.pool_bytes();
     view.pool_budget = shard->scheduler.pool_budget();
-    view.residency.reserve(function_count_);
-    for (size_t f = 0; f < function_count_; ++f) {
+    const size_t functions = shard->scheduler.function_count();
+    view.residency.reserve(functions);
+    for (size_t f = 0; f < functions; ++f) {
       view.residency.push_back(shard->scheduler.FunctionWarm(f) ? FunctionResidency::kWarm
                                : shard->scheduler.FunctionEverServed(f)
                                    ? FunctionResidency::kCached
@@ -66,30 +59,55 @@ void ClusterSimulator::SnapshotViews(std::vector<HostView>* views) const {
   }
 }
 
+void ClusterSimulator::ForEachShard(const std::function<bool(size_t)>& busy,
+                                    const std::function<void(size_t)>& step,
+                                    ClusterStats* stats) {
+  std::vector<size_t> dispatched;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (busy(i)) {
+      dispatched.push_back(i);
+    } else {
+      step(i);
+    }
+  }
+  if (!dispatched.empty()) {
+    pool_.ParallelFor(dispatched.size(), [&](size_t k) { step(dispatched[k]); });
+    ++stats->barriers;
+  }
+}
+
+void ClusterSimulator::RunShardsUntil(SimTime horizon, ClusterStats* stats) {
+  ForEachShard(
+      [&](size_t i) { return shards_[i]->platform.sim()->HasEventAtOrBefore(horizon); },
+      [&](size_t i) { shards_[i]->platform.sim()->RunUntil(horizon); }, stats);
+}
+
 ClusterStats ClusterSimulator::Run(const std::vector<Arrival>& arrivals) {
   FAASNAP_CHECK(!ran_);
   ran_ = true;
-  FAASNAP_CHECK(function_count_ > 0);
+  const size_t functions = shards_[0]->scheduler.function_count();
+  FAASNAP_CHECK(functions > 0);
 
-  // All shards performed identical record work, so their clocks agree; the
-  // cluster epoch starts at that common time.
-  const SimTime base = shards_[0]->platform.sim()->now();
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    FAASNAP_CHECK(shard->platform.sim()->now() == base);
+  // Every other host starts as a copy of shard 0, which has recorded every
+  // function and is quiescent: identical hosts would have recorded
+  // identically, so each copy is the state its own records would have left.
+  while (shards_.size() < config_.hosts) {
+    shards_.push_back(std::make_unique<Shard>(*shards_[0]));
   }
+  const SimTime base = shards_[0]->platform.sim()->now();
 
   // Cluster-level arrivals carry no per-host chaos compression (chaos windows
   // are host-local and apply to what each host serves, not to what the
   // outside world offers).
   const std::vector<TimedArrival> schedule = BuildOpenLoopSchedule(arrivals, base, nullptr);
   for (const TimedArrival& timed : schedule) {
-    FAASNAP_CHECK(timed.function_index < function_count_);
+    FAASNAP_CHECK(timed.function_index < functions);
   }
 
   // Predicted per-function working sets for the router's budget-fit pass;
   // identical on every shard, read from shard 0.
-  std::vector<ByteCount> ws_bytes(function_count_);
-  for (size_t f = 0; f < function_count_; ++f) {
+  std::vector<ByteCount> ws_bytes(functions);
+  for (size_t f = 0; f < functions; ++f) {
     ws_bytes[f] = PagesToBytes(
         PageCount::FromPages(shards_[0]->scheduler.snapshot(f).record_touched.page_count()));
   }
@@ -99,63 +117,87 @@ ClusterStats ClusterSimulator::Run(const std::vector<Arrival>& arrivals) {
     shard->scheduler.BeginOpenLoop();
   }
 
-  const auto all_idle = [this] {
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      if (!shard->scheduler.OpenLoopIdle()) {
-        return false;
-      }
-    }
-    return true;
+  const Duration quantum = config_.sync_quantum;
+  // The grid point that opens the epoch holding `t`.
+  const auto epoch_start = [&](SimTime t) {
+    return base + quantum * ((t - base).nanos() / quantum.nanos());
   };
 
+  // Routing barriers: only the grid points that open an epoch holding an
+  // arrival. Between two of them every shard runs straight through, which is
+  // RunUntil over the skipped grid points in one call.
   size_t next = 0;
   SimTime horizon = base;
   std::vector<HostView> views;
-  while (next < schedule.size() || !all_idle()) {
-    horizon = horizon + config_.sync_quantum;
+  while (next < schedule.size()) {
+    horizon = epoch_start(schedule[next].at);
+    RunShardsUntil(horizon, &stats);
 
     // Barrier: publish views, route this epoch's arrivals (serial, pure).
     // Routed-but-unconfirmed arrivals bump the view's outstanding count so a
     // burst inside one epoch spreads instead of piling onto the host that
     // looked emptiest at the barrier.
     SnapshotViews(&views);
-    while (next < schedule.size() && schedule[next].at < horizon) {
+    while (next < schedule.size() && schedule[next].at < horizon + quantum) {
       const size_t function_index = schedule[next].function_index;
       const size_t host = router_.Route(function_index, ws_bytes[function_index], views);
       views[host].outstanding++;
       shards_[host]->scheduler.OfferAt(function_index, schedule[next].at);
       ++next;
     }
-
-    // Parallel region: every shard advances its private event loop to the
-    // horizon. Thread assignment cannot affect any shard's event order.
-    pool_.ParallelFor(shards_.size(),
-                      [&](size_t i) { shards_[i]->platform.sim()->RunUntil(horizon); });
-    ++stats.epochs;
   }
 
-  // Merge in host-index order (deterministic double accumulation).
+  // Drain. Every arrival fires by the end of the last routed epoch, so from
+  // there a shard that is idle stays idle: each shard steps its own grid to
+  // its first idle point, and the cluster ends at the latest of those — the
+  // first grid point where all shards are idle.
+  if (!schedule.empty()) {
+    const SimTime last_epoch_end = horizon + quantum;
+    std::vector<SimTime> idle_at(shards_.size());
+    ForEachShard(
+        [&](size_t i) {
+          return !shards_[i]->scheduler.OpenLoopIdle() ||
+                 shards_[i]->platform.sim()->HasEventAtOrBefore(last_epoch_end);
+        },
+        [&](size_t i) {
+          Shard& shard = *shards_[i];
+          SimTime h = horizon;
+          do {
+            h = h + quantum;
+            shard.platform.sim()->RunUntil(h);
+          } while (!shard.scheduler.OpenLoopIdle());
+          idle_at[i] = h;
+        },
+        &stats);
+    horizon = *std::max_element(idle_at.begin(), idle_at.end());
+    RunShardsUntil(horizon, &stats);
+  }
+  stats.epochs = static_cast<size_t>((horizon - base).nanos() / quantum.nanos());
+
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    HostSchedulerStats host = shard->scheduler.FinishOpenLoop();
-    stats.arrivals += host.arrivals;
-    stats.invocations += host.invocations;
-    stats.warm_hits += host.warm_hits;
-    stats.misses += host.misses;
-    stats.shed_queue_full += host.shed_queue_full;
-    stats.shed_deadline += host.shed_deadline;
-    stats.evictions += host.evictions;
-    stats.expirations += host.expirations;
-    stats.pressure_demotions += host.pressure_demotions;
-    stats.latency_ms.Merge(host.latency_ms);
-    stats.accepted_latency.Merge(host.accepted_latency);
-    stats.avg_resident_bytes += host.avg_pool_bytes;
-    stats.span = std::max(stats.span, host.span);
-    stats.per_host.push_back(std::move(host));
+    stats.AddHost(shard->scheduler.FinishOpenLoop());
   }
   stats.routing = router_.stats();
   FAASNAP_CHECK(stats.arrivals == static_cast<int64_t>(schedule.size()));
   FAASNAP_CHECK(stats.invocations + stats.shed() == stats.arrivals);
   return stats;
+}
+
+void ClusterStats::AddHost(HostSchedulerStats host) {
+  arrivals += host.arrivals;
+  invocations += host.invocations;
+  warm_hits += host.warm_hits;
+  misses += host.misses;
+  shed_queue_full += host.shed_queue_full;
+  shed_deadline += host.shed_deadline;
+  evictions += host.evictions;
+  expirations += host.expirations;
+  pressure_demotions += host.pressure_demotions;
+  latency_ms.Merge(host.latency_ms);
+  accepted_latency.Merge(host.accepted_latency);
+  avg_resident_bytes += host.avg_pool_bytes;
+  span = std::max(span, host.span);
+  per_host.push_back(std::move(host));
 }
 
 void ClusterStats::AppendJson(JsonWriter* w) const {

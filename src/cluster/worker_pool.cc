@@ -68,7 +68,7 @@ void WorkerPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) {
     return;
   }
-  if (threads_.empty()) {
+  if (threads_.empty() || n == 1) {
     for (size_t i = 0; i < n; ++i) {
       fn(i);
     }

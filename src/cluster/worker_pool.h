@@ -10,7 +10,8 @@
 //
 // With threads <= 1 no OS threads are created and ParallelFor degenerates to
 // an inline loop — the 1-worker configuration is bit-for-bit the serial
-// program, which the cluster determinism test pins against N-thread runs.
+// program, which the cluster determinism test pins against N-thread runs. A
+// single index also runs inline: there is nothing to fork.
 
 #ifndef FAASNAP_SRC_CLUSTER_WORKER_POOL_H_
 #define FAASNAP_SRC_CLUSTER_WORKER_POOL_H_

@@ -354,6 +354,18 @@ void ReadCluster(FieldReader& in, ClusterScenario* out) {
     workload->Micros("burst_mean_off_us", &mix.burst_mean_off, 1);
     workload->Number("diurnal_amplitude", &mix.diurnal_amplitude);
     workload->Micros("diurnal_period_us", &mix.diurnal_period, 1);
+    // The schedule starts where the records end and its last arrival lands
+    // the sum of `count` gaps later. Half of SimTime's range for that sum
+    // leaves the other half for the records before it and the drain after.
+    constexpr double kMaxScheduleSpanNanos = 4611686018427387904.0;  // 2^62
+    if (!(MaxArrivalMixSpanNanos(mix, out->arrival_count) <= kMaxScheduleSpanNanos)) {
+      char message[160];
+      std::snprintf(message, sizeof(message),
+                    "%d arrivals of up to %g mean gaps each (more under a diurnal amplitude) "
+                    "could pass 2^62 ns of simulated time",
+                    out->arrival_count, kMaxArrivalGapPerMean);
+      workload->Fail("mean_gap_us", message);
+    }
   }
 }
 

@@ -247,6 +247,24 @@ void PageCache::DropAll() {
   NotePresentDelta(-static_cast<int64_t>(present_total_));
 }
 
+void PageCache::CopyFrom(const PageCache& source) {
+  std::map<FileId, FileState> files;
+  ReadHandle next_handle = 0;
+  uint64_t present_total = 0;
+  {
+    MutexLock lock(source.mu_);
+    FAASNAP_CHECK(source.reads_.empty() && "CopyFrom with reads in flight");
+    files = source.files_;
+    next_handle = source.next_handle_;
+    present_total = source.present_total_;
+  }
+  MutexLock lock(mu_);
+  FAASNAP_CHECK(reads_.empty() && metrics_ == nullptr);
+  files_ = std::move(files);
+  next_handle_ = next_handle;
+  present_total_ = present_total;
+}
+
 void PageCache::DropFile(FileId file) {
   MutexLock lock(mu_);
   auto it = files_.find(file);

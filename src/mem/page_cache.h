@@ -105,6 +105,11 @@ class PageCache {
   void DropAll() FAASNAP_EXCLUDES(mu_);
   void DropFile(FileId file) FAASNAP_EXCLUDES(mu_);
 
+  // Takes `source`'s present pages and read-handle counter. Neither cache may
+  // have a read in flight, and this one must have no metrics attached (its
+  // present-pages gauge would go stale).
+  void CopyFrom(const PageCache& source) FAASNAP_EXCLUDES(mu_);
+
   // Total pages cached across all files (page-cache memory footprint, section 7.3).
   uint64_t present_page_count() const FAASNAP_EXCLUDES(mu_);
 

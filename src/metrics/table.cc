@@ -47,10 +47,18 @@ std::string TextTable::ToString() const {
       widths[c] = std::max(widths[c], row[c].size());
     }
   }
+  // A column right-aligns only when every body cell in it looks numeric, so a
+  // column that mixes labels and numbers ("A" beside "1x") stays flush left.
+  std::vector<bool> numeric(headers_.size(), true);
+  for (const auto& row : rows_) {
+    for (size_t c = 0; c < row.size(); ++c) {
+      numeric[c] = numeric[c] && LooksNumeric(row[c]);
+    }
+  }
   std::string out;
   auto emit_row = [&](const std::vector<std::string>& row, bool align_numeric) {
     for (size_t c = 0; c < row.size(); ++c) {
-      const bool right = align_numeric && LooksNumeric(row[c]);
+      const bool right = align_numeric && numeric[c];
       const size_t pad = widths[c] - row[c].size();
       if (c > 0) {
         out += "  ";

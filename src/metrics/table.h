@@ -18,8 +18,8 @@ class TextTable {
   // Adds a row; must have exactly as many cells as there are headers.
   void AddRow(std::vector<std::string> cells);
 
-  // Renders with a header underline and 2-space column gaps. Numeric-looking
-  // cells are right-aligned, text is left-aligned.
+  // Renders with a header underline and 2-space column gaps. A column whose
+  // body cells all look numeric is right-aligned; any other is left-aligned.
   std::string ToString() const;
 
   size_t row_count() const { return rows_.size(); }

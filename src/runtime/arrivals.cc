@@ -1,5 +1,7 @@
 #include "src/runtime/arrivals.h"
 
+#include <limits>
+
 namespace faasnap {
 
 std::vector<TimedArrival> BuildOpenLoopSchedule(const std::vector<Arrival>& arrivals,
@@ -17,6 +19,7 @@ std::vector<TimedArrival> BuildOpenLoopSchedule(const std::vector<Arrival>& arri
         gap = Duration::Nanos(squeezed < 1 ? 1 : squeezed);
       }
     }
+    FAASNAP_CHECK(gap.nanos() <= std::numeric_limits<int64_t>::max() - at.nanos());
     at = at + gap;
     schedule.push_back(TimedArrival{arrival.function_index, at});
   }

@@ -32,13 +32,23 @@ HostScheduler::HostScheduler(Platform* platform, HostSchedulerConfig config)
   FAASNAP_CHECK(!config_.warm_pool_budget_bytes.is_zero());
 }
 
+HostScheduler::HostScheduler(Platform* platform, const HostScheduler& source)
+    : HostScheduler(platform, source.config_) {
+  FAASNAP_CHECK(source.open_loop_ == nullptr && source.lru_.empty());
+  entries_.reserve(source.entries_.size());
+  for (const std::unique_ptr<Entry>& entry : source.entries_) {
+    entries_.push_back(std::make_unique<Entry>(*entry));
+  }
+}
+
 HostScheduler::~HostScheduler() = default;
 
 size_t HostScheduler::AddFunction(const FunctionSpec& spec) {
   auto entry = std::make_unique<Entry>();
-  entry->generator = std::make_unique<TraceGenerator>(spec, platform_->config().layout);
-  entry->snapshot = std::make_unique<FunctionSnapshot>(
-      platform_->Record(*entry->generator, MakeInputA(spec)));
+  auto generator = std::make_shared<const TraceGenerator>(spec, platform_->config().layout);
+  entry->snapshot = std::make_shared<const FunctionSnapshot>(
+      platform_->Record(*generator, MakeInputA(spec)));
+  entry->generator = std::move(generator);
   entry->ws_bytes =
       PagesToBytes(PageCount::FromPages(entry->snapshot->record_touched.page_count()));
   entries_.push_back(std::move(entry));

@@ -116,6 +116,11 @@ class HostScheduler {
  public:
   // `platform` must outlive the scheduler.
   HostScheduler(Platform* platform, HostSchedulerConfig config);
+  // A scheduler on `platform` — a copy of `source`'s platform — with
+  // `source`'s config and registered functions. `source` must be idle: no run
+  // in progress and no VM in the warm pool. The recorded snapshots and trace
+  // generators are immutable and shared between the two.
+  HostScheduler(Platform* platform, const HostScheduler& source);
   ~HostScheduler();  // out of line: OpenLoopState is incomplete here
 
   // Registers a function: records its snapshot on the platform and returns its
@@ -160,8 +165,8 @@ class HostScheduler {
 
  private:
   struct Entry {
-    std::unique_ptr<TraceGenerator> generator;
-    std::unique_ptr<FunctionSnapshot> snapshot;
+    std::shared_ptr<const TraceGenerator> generator;
+    std::shared_ptr<const FunctionSnapshot> snapshot;
     ByteCount ws_bytes;
     // Warm-pool state. `lru_it` points into lru_ iff warm.
     bool warm = false;

@@ -73,6 +73,25 @@ Platform::Platform(PlatformConfig config)
   }
 }
 
+Platform::Platform(const Platform& source) : Platform(source.config_) {
+  FAASNAP_CHECK(source.spans_ == nullptr && source.metrics_ == nullptr &&
+                source.forensics_ == nullptr && source.timeline_ == nullptr &&
+                source.pressure_ == nullptr);
+  FAASNAP_CHECK(source.cpu_.runnable() == 0);
+  sim_.CopyClockFrom(source.sim_);
+  daemon_busy_until_ = source.daemon_busy_until_;
+  cache_.CopyFrom(source.cache_);
+  local_disk_.CopyStateFrom(source.local_disk_);
+  if (remote_disk_ != nullptr) {
+    remote_disk_->CopyStateFrom(*source.remote_disk_);
+  }
+  storage_.CopyStateFrom(source.storage_);
+  store_.CopyEntriesFrom(source.store_);
+  if (chaos_ != nullptr) {
+    chaos_->CopyStateFrom(*source.chaos_);
+  }
+}
+
 BlockDeviceStats Platform::CombinedDiskStats() const {
   BlockDeviceStats stats = local_disk_.stats();
   if (remote_disk_ != nullptr) {

@@ -37,6 +37,15 @@ class Platform {
  public:
   explicit Platform(PlatformConfig config = {});
 
+  // A host in the state of `source`, which must be quiescent: its event queue
+  // is empty, no page-cache read is in flight and no observability is
+  // attached (each is CHECKed). The copy takes everything Record moves — the
+  // clock, page cache, snapshot files, device and chaos streams — so it
+  // serves every later invocation exactly as `source` would. A cluster
+  // records each function on one host and copies that host to the others.
+  explicit Platform(const Platform& source);
+  Platform& operator=(const Platform&) = delete;
+
   // Record phase (synchronous: drives the simulation to completion). Caches are
   // dropped afterwards, matching the paper's methodology.
   FunctionSnapshot Record(const TraceGenerator& generator, const WorkloadInput& input);

@@ -22,6 +22,13 @@ void Simulation::Cancel(EventId id) {
   ++stale_heap_entries_;
 }
 
+void Simulation::CopyClockFrom(const Simulation& source) {
+  FAASNAP_CHECK(heap_.size() == kHeapPad && source.heap_.size() == kHeapPad);
+  now_ = source.now_;
+  next_seq_ = source.next_seq_;
+  processed_ = source.processed_;
+}
+
 uint64_t Simulation::Run() {
   in_run_loop_ = true;
   run_deadline_ = SimTime::FromNanos(std::numeric_limits<int64_t>::max());

@@ -84,6 +84,17 @@ class Simulation {
   // the rule does not allow it; the caller then schedules the event instead.
   bool TryFastForward(SimTime t);
 
+  // True when the queue holds an event at or before `t`: RunUntil(t) would fire
+  // something. Peeks the raw heap root, so a cancelled head counts as an event.
+  bool HasEventAtOrBefore(SimTime t) const {
+    return heap_.size() > kHeapPad && !(t < heap_[kHeapPad].when);
+  }
+
+  // Takes `source`'s clock, event sequence counter and processed count. Both
+  // queues must be empty, so no pending event can tell the two apart; the
+  // cluster layer uses this to copy a quiescent host.
+  void CopyClockFrom(const Simulation& source);
+
   bool empty() const { return live_ == 0; }
   uint64_t processed_events() const { return processed_; }
 
@@ -333,9 +344,9 @@ inline bool Simulation::TryFastForward(SimTime t) {
   if (!in_run_loop_ || run_deadline_ < t) {
     return false;
   }
-  // The raw heap root, without PopNext's skip of cancelled entries: a cancelled
-  // head only makes the bound more conservative, and peeking stays O(1).
-  if (heap_.size() > kHeapPad && !(t < heap_[kHeapPad].when)) {
+  // A cancelled head only makes the bound more conservative, and peeking the
+  // raw root stays O(1).
+  if (HasEventAtOrBefore(t)) {
     return false;
   }
   now_ = t;

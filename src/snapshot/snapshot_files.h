@@ -66,6 +66,11 @@ class SnapshotStore {
   // Adapter for FaultEngine's file_size_pages hook.
   std::function<PageCount(FileId)> SizeFn() const;
 
+  // Takes `source`'s registered files (names, sizes, checksums, corruption),
+  // so file ids resolve alike in both stores. The fault injector stays this
+  // store's own.
+  void CopyEntriesFrom(const SnapshotStore& source) { entries_ = source.entries_; }
+
  private:
   struct Entry {
     std::string name;

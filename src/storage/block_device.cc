@@ -17,6 +17,15 @@ BlockDevice::BlockDevice(Simulation* sim, BlockDeviceProfile profile, uint64_t s
   FAASNAP_CHECK(profile_.iops > 0);
 }
 
+void BlockDevice::CopyStateFrom(const BlockDevice& source) {
+  FAASNAP_CHECK(source.outstanding_ == 0 && outstanding_ == 0);
+  rng_ = source.rng_;
+  iops_busy_until_ = source.iops_busy_until_;
+  bw_busy_until_ = source.bw_busy_until_;
+  stats_ = source.stats_;
+  demand_owed_ = source.demand_owed_;
+}
+
 Duration BlockDevice::TransferTime(uint64_t bytes) const {
   // ns = bytes * 1e9 / bw. Use 128-bit-safe ordering: bytes up to GiBs fits.
   return Duration::Nanos(static_cast<int64_t>(

@@ -202,6 +202,12 @@ class BlockDevice {
   // are still outstanding.
   void ResetStats() { stats_ = BlockDeviceStats{}; }
 
+  // Takes `source`'s jitter stream, serializer horizons, stats and aged-prefetch
+  // debt, so both devices serve the same future reads identically. `source`
+  // must be idle (no request accepted and not completed); this device keeps
+  // its own simulation, fault injector and observability attachments.
+  void CopyStateFrom(const BlockDevice& source);
+
   // Live queue state, used by the router's demand-pressure surface and tests.
   int queued(ReadClass cls) const { return static_cast<int>(queue_[static_cast<int>(cls)].size()); }
   int in_service(ReadClass cls) const { return in_service_reqs_[static_cast<int>(cls)]; }

@@ -34,6 +34,21 @@ DeviceId StorageRouter::AddDevice(BlockDevice* device) {
   return static_cast<DeviceId>(devices_.size() - 1);
 }
 
+void StorageRouter::CopyStateFrom(const StorageRouter& source) {
+  FAASNAP_CHECK(devices_.size() == source.devices_.size());
+  placement_ = source.placement_;
+  std::vector<Breaker> breakers;
+  StorageFaultStats stats;
+  {
+    MutexLock lock(source.mu_);
+    breakers = source.breakers_;
+    stats = source.fault_stats_;
+  }
+  MutexLock lock(mu_);
+  breakers_ = std::move(breakers);
+  fault_stats_ = stats;
+}
+
 StorageFaultStats StorageRouter::fault_stats() const {
   MutexLock lock(mu_);
   return fault_stats_;

@@ -115,6 +115,11 @@ class StorageRouter {
   void ConfigureFaultHandling(Simulation* sim, FaultInjector* injector,
                               StorageFaultPolicy policy);
 
+  // Takes `source`'s file placement, breaker states and fault stats. Both
+  // routers must front the same number of devices, each keeping its own; the
+  // caller guarantees no read is in flight on either.
+  void CopyStateFrom(const StorageRouter& source) FAASNAP_EXCLUDES(mu_);
+
   // Copy under the lock: cheap POD, safe for before/after deltas while reads
   // are still settling.
   StorageFaultStats fault_stats() const FAASNAP_EXCLUDES(mu_);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace faasnap {
 
@@ -113,6 +114,17 @@ std::vector<Arrival> SampleArrivalMix(size_t functions, int count, const Arrival
     arrivals.push_back(Arrival{std::min(function_index, functions - 1), gap});
   }
   return arrivals;
+}
+
+double MaxArrivalMixSpanNanos(const ArrivalMixConfig& mix, int count) {
+  double stretch = 1.0;
+  if (mix.process == ArrivalProcess::kDiurnal) {
+    const double amplitude = std::abs(mix.diurnal_amplitude);
+    stretch = amplitude < 1.0 ? 1.0 / (1.0 - amplitude) : std::numeric_limits<double>::infinity();
+  }
+  const double max_gap =
+      kMaxArrivalGapPerMean * static_cast<double>(mix.mean_gap.nanos()) * stretch + 1.0;
+  return static_cast<double>(count) * max_gap;
 }
 
 std::vector<Arrival> ZipfArrivals(size_t functions, int count, double zipf_s,

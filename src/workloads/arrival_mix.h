@@ -42,6 +42,11 @@ struct Arrival {
 // NextDouble draw per call; deterministic per RNG state.
 Duration SampleArrivalGap(Rng& rng, Duration mean_gap);
 
+// The largest gap SampleArrivalGap draws is at most this many mean gaps, plus
+// 1 ns. NextDouble() is a multiple of 2^-53 (and 0 is replaced by 1e-12), so
+// -ln(U) <= 53 * ln 2 = 36.74.
+inline constexpr double kMaxArrivalGapPerMean = 36.75;
+
 // Zipf(s)-popular function choice with exponential inter-arrival gaps: the
 // hot/cold skew of the Azure traces (section 2.1). Deterministic per seed.
 std::vector<Arrival> ZipfArrivals(size_t functions, int count, double zipf_s,
@@ -84,6 +89,13 @@ struct ArrivalMixConfig {
 // are bit-identical to the historical ZipfArrivals(...) for the same seed.
 std::vector<Arrival> SampleArrivalMix(size_t functions, int count, const ArrivalMixConfig& mix,
                                       uint64_t seed);
+
+// An upper bound, in nanoseconds, on the sum of the `count` gaps
+// SampleArrivalMix draws from `mix`: count x (kMaxArrivalGapPerMean x mean + 1
+// ns) x the largest stretch of the process. Bursts only shorten gaps; a
+// diurnal rate 1 + a * sin(.) >= 1 - |a| stretches them by at most
+// 1 / (1 - |a|), and without a bound (infinity) when |a| >= 1.
+double MaxArrivalMixSpanNanos(const ArrivalMixConfig& mix, int count);
 
 }  // namespace faasnap
 

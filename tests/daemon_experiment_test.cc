@@ -111,6 +111,14 @@ TEST(Scenario, RejectsHostileValues) {
       {"cluster.workload.burst_mean_on_us",
        R"({"functions": ["json"],
            "cluster": {"workload": {"process": "bursty", "burst_mean_on_us": 0}}})"},
+      // The last arrival could pass SimTime's range: 300 gaps of up to 36.75 x
+      // 1e15 us, and a diurnal amplitude of 1 whose rate reaches 0.
+      {"cluster.workload.mean_gap_us",
+       R"({"functions": ["json"], "cluster": {"workload":
+           {"count": 300, "process": "poisson", "mean_gap_us": 1000000000000000}}})"},
+      {"cluster.workload.mean_gap_us",
+       R"({"functions": ["json"], "cluster": {"workload":
+           {"process": "diurnal", "diurnal_amplitude": 1.0}}})"},
       {"cluster.host.warm_pool_budget_mib",
        R"({"functions": ["json"], "cluster": {"host": {"warm_pool_budget_mib": 0}}})"},
       {"admission.max_concurrency",

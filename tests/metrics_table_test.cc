@@ -28,6 +28,21 @@ TEST(TextTable, NumericCellsRightAlign) {
   EXPECT_NE(out.find("  1.5"), std::string::npos);
 }
 
+TEST(TextTable, MixedColumnAlignsLeft) {
+  // "A" and "1x" share a column: one alignment for the whole column, so the
+  // cells line up flush left instead of splitting left and right.
+  TextTable table({"input", "ms"});
+  table.AddRow({"A", "9.5"});
+  table.AddRow({"1x", "10.5"});
+  table.AddRow({"0.5x", "8.0"});
+  EXPECT_EQ(table.ToString(),
+            "input  ms\n"
+            "-----------\n"
+            "A       9.5\n"
+            "1x     10.5\n"
+            "0.5x    8.0\n");
+}
+
 TEST(TextTable, ColumnsWidenToContent) {
   TextTable table({"x"});
   table.AddRow({"very-long-cell-content"});
