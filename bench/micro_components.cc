@@ -81,12 +81,14 @@ BENCHMARK(BM_PageRangeSetMergeGapTolerance);
 void BM_AddressSpaceHierarchicalMap(benchmark::State& state) {
   const auto regions = static_cast<uint64_t>(state.range(0));
   PageRangeSet nonzero = ScatteredSet(regions, 7);
+  std::vector<MappingRequest> layer;
+  for (const PageRange& r : nonzero.ranges()) {
+    layer.push_back({.guest = r, .kind = BackingKind::kFile, .file = 1, .file_start = r.first});
+  }
   for (auto _ : state) {
     AddressSpace space(PageCount::FromPages(1u << 20));
     space.Map({.guest = {0, 1u << 20}, .kind = BackingKind::kAnonymous});
-    for (const PageRange& r : nonzero.ranges()) {
-      space.Map({.guest = r, .kind = BackingKind::kFile, .file = 1, .file_start = r.first});
-    }
+    space.MapLayer(layer);
     benchmark::DoNotOptimize(space.mmap_call_count());
   }
 }
@@ -96,9 +98,11 @@ void BM_AddressSpaceResolve(benchmark::State& state) {
   AddressSpace space(PageCount::FromPages(1u << 20));
   space.Map({.guest = {0, 1u << 20}, .kind = BackingKind::kAnonymous});
   PageRangeSet nonzero = ScatteredSet(1024, 7);
+  std::vector<MappingRequest> layer;
   for (const PageRange& r : nonzero.ranges()) {
-    space.Map({.guest = r, .kind = BackingKind::kFile, .file = 1, .file_start = r.first});
+    layer.push_back({.guest = r, .kind = BackingKind::kFile, .file = 1, .file_start = r.first});
   }
+  space.MapLayer(std::move(layer));
   Rng rng(5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(space.Resolve(rng.NextBelow(1u << 20)));

@@ -85,6 +85,31 @@ PageRangeSet::PageRangeSet(std::vector<PageRange> ranges) {
   }
 }
 
+PageRangeSet PageRangeSet::Builder::Build() && {
+  const auto by_first = [](const PageRange& a, const PageRange& b) { return a.first < b.first; };
+  if (!std::is_sorted(runs_.begin(), runs_.end(), by_first)) {
+    std::sort(runs_.begin(), runs_.end(), by_first);
+  }
+  // Coalesce in place: runs sorted by first may overlap or abut.
+  size_t kept = 0;
+  for (const PageRange& r : runs_) {
+    if (kept > 0 && r.first <= runs_[kept - 1].end()) {
+      PageRange& last = runs_[kept - 1];
+      last.count = std::max(last.end(), r.end()) - last.first;
+    } else {
+      runs_[kept++] = r;
+    }
+  }
+  runs_.resize(kept);
+  runs_.shrink_to_fit();
+  PageRangeSet set;
+  for (const PageRange& r : runs_) {
+    set.page_total_ += r.count;
+  }
+  set.ranges_ = std::move(runs_);
+  return set;
+}
+
 void PageRangeSet::AppendCoalescing(PageIndex first, uint64_t count) {
   if (count == 0) {
     return;

@@ -39,6 +39,31 @@ struct PageRange {
 // Ordered, disjoint, coalesced set of page ranges.
 class PageRangeSet {
  public:
+  // Builds a set from pages given in any order with one sort and coalesce in
+  // Build(), instead of one ordered insert per page. A page that repeats or
+  // extends the last run coalesces onto it, so pages that arrive in ascending
+  // order keep no per-page temporary.
+  class Builder {
+   public:
+    void AddPage(PageIndex page) {
+      if (!runs_.empty()) {
+        PageRange& last = runs_.back();
+        if (last.Contains(page)) {
+          return;
+        }
+        if (page == last.end()) {
+          ++last.count;
+          return;
+        }
+      }
+      runs_.push_back(PageRange{page, 1});
+    }
+    PageRangeSet Build() &&;
+
+   private:
+    std::vector<PageRange> runs_;
+  };
+
   PageRangeSet() = default;
   explicit PageRangeSet(std::vector<PageRange> ranges);
 

@@ -1,5 +1,7 @@
 #include "src/core/recorder.h"
 
+#include <utility>
+
 namespace faasnap {
 
 FaasnapRecorder::FaasnapRecorder(const PageCache* cache, FileId memory_file, uint64_t group_size)
@@ -24,8 +26,8 @@ void FaasnapRecorder::Scan() {
   // mincore over the mapped memory file sees (a) pages the guest touched (resident
   // in the VMM) and (b) pages readahead brought into the page cache.
   PageRangeSet present = cache_->PresentPages(memory_file_);
-  present.UnionInPlace(pending_resident_);
-  pending_resident_ = PageRangeSet();
+  present.UnionInPlace(std::move(pending_resident_).Build());
+  pending_resident_ = PageRangeSet::Builder();
   present.SubtractInPlace(recorded_);
   if (present.empty()) {
     return;
@@ -43,10 +45,12 @@ void ReapRecorder::OnAccess(PageIndex page, FaultClass cls) {
   if (cls == FaultClass::kNoFault) {
     return;
   }
-  if (seen_.Contains(page)) {
+  if (page >= seen_.size()) {
+    seen_.resize(page + 1);
+  } else if (seen_[page]) {
     return;
   }
-  seen_.AddPage(page);
+  seen_[page] = true;
   pages_.push_back(page);
 }
 

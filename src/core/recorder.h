@@ -48,7 +48,7 @@ class FaasnapRecorder {
   FileId memory_file_;
   uint64_t group_size_;
   uint64_t new_resident_since_scan_ = 0;
-  PageRangeSet pending_resident_;  // first-touched pages since the last scan
+  PageRangeSet::Builder pending_resident_;  // first-touched pages since the last scan
   PageRangeSet recorded_;          // union of all groups so far
   WorkingSetGroups groups_;
   uint64_t scan_count_ = 0;
@@ -66,7 +66,7 @@ class ReapRecorder {
 
  private:
   std::vector<PageIndex> pages_;
-  PageRangeSet seen_;
+  std::vector<bool> seen_;  // first-touch bitmap, grown to the highest page seen
 };
 
 }  // namespace faasnap

@@ -7,17 +7,31 @@
 // semantics — later calls override earlier ones where they overlap — and counts
 // calls so setup cost reflects region-count optimizations (section 4.6).
 //
+// Mapping runs live in one array sorted by start page; a run extends to the next
+// start. Runs are never coalesced: each Map leaves a run start at its first page
+// and, unless it reaches the guest end, at its end, and removes the starts
+// strictly between. Those boundaries are what MappingRun reports to range
+// installs, huge regions and fault coalescing. MapLayer() applies a whole layer
+// of pairwise-disjoint mmaps, given in any order, as one linear merge: the same
+// runs and the same call count as one Map per request, in O(runs + requests)
+// plus the sort.
+//
 // Per-page install state tracks whether an access faults at all:
 //   kNotPresent  — first access faults (class depends on the backing),
 //   kSoftPresent — host PTE exists (UFFDIO_COPY install) but the first guest access
 //                  still takes one cheap guest-dimension fault,
 //   kPresent     — access is free.
+// Both SetInstallState forms also keep a resident count per block of
+// kResidentBlockPages pages (one byte each: 4 KiB for a 2 GiB guest), so the
+// anonymous footprint sums whole blocks and reads install bytes only in the
+// partly covered blocks that hold residents.
 
 #ifndef FAASNAP_SRC_MEM_ADDRESS_SPACE_H_
 #define FAASNAP_SRC_MEM_ADDRESS_SPACE_H_
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "src/common/page_range.h"
@@ -67,7 +81,13 @@ class AddressSpace {
   explicit AddressSpace(PageCount total_pages);
 
   // Applies one mmap with MAP_FIXED overlay semantics. Increments mmap_call_count.
-  void Map(const MappingRequest& request);
+  // Costs O(runs): map many regions as one MapLayer instead.
+  void Map(const MappingRequest& request) { Overlay(std::span(&request, 1)); }
+
+  // Applies one layer of mmaps that are pairwise disjoint (CHECKed), in any
+  // order, as one merge. Runs and mmap_call_count end up exactly as after one
+  // Map per request.
+  void MapLayer(std::vector<MappingRequest> layer);
 
   // Backing of `page` under the current layering.
   PageBacking Resolve(PageIndex page) const;
@@ -108,6 +128,7 @@ class AddressSpace {
   PageCount resident_pages() const { return resident_pages_; }
 
   // Present pages backed by anonymous memory (memory-footprint accounting, 7.3).
+  // O(runs + blocks under anonymous runs), not O(pages).
   PageCount resident_anonymous_pages() const;
 
   // Pages whose contents were copied into anonymous memory by UFFDIO_COPY (REAP's
@@ -116,15 +137,32 @@ class AddressSpace {
   PageCount anon_copied_pages() const { return anon_copied_pages_; }
 
  private:
+  // Pages per resident-count block. At most 128 residents fit one byte.
+  static constexpr uint64_t kResidentBlockPages = 128;
+
+  // One mapping run: `backing` at `start`, file offsets advancing through it.
+  struct Run {
+    PageIndex start = 0;
+    PageBacking backing;
+  };
+
   // Raw page-index bound for the interval arithmetic below.
   uint64_t limit() const { return total_pages_.value(); }
 
+  // Merges `layer` (validated, sorted by first page, disjoint) into runs_.
+  void Overlay(std::span<const MappingRequest> layer);
+  // Index of the run containing `page`.
+  size_t RunIndex(PageIndex page) const;
+  PageIndex RunEnd(size_t index) const {
+    return index + 1 < runs_.size() ? runs_[index + 1].start : limit();
+  }
+  // Installed pages in [lo, hi).
+  uint64_t CountResident(PageIndex lo, PageIndex hi) const;
+
   PageCount total_pages_;
-  // Flattened interval map: key = first guest page of a run; the run extends to the
-  // next key (or total_pages_). Value = backing at the run start; file_page advances
-  // with the offset into the run.
-  std::map<PageIndex, PageBacking> regions_;
+  std::vector<Run> runs_;  // sorted by start; runs_[0].start == 0
   std::vector<uint8_t> install_;
+  std::vector<uint8_t> block_resident_;  // installed pages per kResidentBlockPages block
   // Huge-region states keyed by region start; absent key = kNone. Sparse: only
   // marked regions appear, so the map stays proportional to the working set.
   std::map<PageIndex, HugeRegionState> huge_regions_;

@@ -278,11 +278,7 @@ void PageCache::DropFile(FileId file) {
 
 uint64_t PageCache::present_page_count() const {
   MutexLock lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [file, fs] : files_) {
-    total += fs.present.page_count();
-  }
-  return total;
+  return present_total_;
 }
 
 void PageCache::NotePresentDelta(int64_t delta) {

@@ -165,7 +165,8 @@ class PageCache {
   Counter* failed_reads_ FAASNAP_GUARDED_BY(mu_) = nullptr;
   MetricsRegistry* metrics_ FAASNAP_GUARDED_BY(mu_) = nullptr;
   Gauge* present_pages_gauge_ FAASNAP_GUARDED_BY(mu_) = nullptr;
-  uint64_t present_total_ FAASNAP_GUARDED_BY(mu_) = 0;  // running count backing the gauge
+  // Running count of present pages across files: present_page_count() and the gauge.
+  uint64_t present_total_ FAASNAP_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace faasnap

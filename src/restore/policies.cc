@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "src/common/units.h"
 #include "src/obs/observability.h"
@@ -74,12 +75,13 @@ void MapWholeFile(RestoreEnv* env, const MemoryFile& memory) {
 // the memory file MAP_FIXED'd over it.
 uint64_t MapPerRegionBase(RestoreEnv* env, const MemoryFile& memory) {
   env->space->Map({.guest = {0, env->snapshot->guest_pages.value()}, .kind = BackingKind::kAnonymous});
+  std::vector<MappingRequest> layer;
+  layer.reserve(memory.nonzero.range_count());
   for (const PageRange& r : memory.nonzero.ranges()) {
-    env->space->Map({.guest = r,
-                     .kind = BackingKind::kFile,
-                     .file = memory.id,
+    layer.push_back({.guest = r, .kind = BackingKind::kFile, .file = memory.id,
                      .file_start = r.first});
   }
+  env->space->MapLayer(std::move(layer));
   return 1 + memory.nonzero.range_count();
 }
 
@@ -305,9 +307,11 @@ class ReapPolicy final : public RestorePolicy {
       Duration install;
       PageRangeSet ws_runs;
       if (batched) {
+        PageRangeSet::Builder builder;
         for (PageIndex page : env->snapshot->reap_ws.guest_pages) {
-          ws_runs.AddPage(page);
+          builder.AddPage(page);
         }
+        ws_runs = std::move(builder).Build();
         for (const PageRange& r : ws_runs.ranges()) {
           install += env->config->host_costs.uffd_batch_install +
                      env->config->host_costs.uffd_batch_per_page *
@@ -400,14 +404,15 @@ class FaasnapPolicy final : public RestorePolicy {
   RestoreMode mode() const override { return RestoreMode::kFaasnap; }
 
   void SetupMemory(RestoreEnv* env, std::function<void()> ready) override {
-    uint64_t calls = MapPerRegionBase(env, env->snapshot->memory_sanitized);
-    for (const LoadingRegion& region : env->snapshot->loading_set.regions) {
-      env->space->Map({.guest = region.guest,
-                       .kind = BackingKind::kFile,
-                       .file = env->snapshot->loading_set.id,
-                       .file_start = region.file_start});
-      ++calls;
+    const std::vector<LoadingRegion>& regions = env->snapshot->loading_set.regions;
+    const uint64_t calls = MapPerRegionBase(env, env->snapshot->memory_sanitized) + regions.size();
+    std::vector<MappingRequest> layer;
+    layer.reserve(regions.size());
+    for (const LoadingRegion& region : regions) {
+      layer.push_back({.guest = region.guest, .kind = BackingKind::kFile,
+                       .file = env->snapshot->loading_set.id, .file_start = region.file_start});
     }
+    env->space->MapLayer(std::move(layer));
     MarkHugeRegionsFromLoadingSet(env);
     FinishMappingSetup(env, calls, std::move(ready));
   }

@@ -501,10 +501,10 @@ FunctionSnapshot Platform::Record(const TraceGenerator& generator, const Workloa
   });
 
   InvocationTrace trace = generator.Generate(input);
-  PageRangeSet written;
+  uint64_t executed_ops = 0;
   bool finished = false;
   vm.RunInvocation(trace, [&](Vm::InvocationResult result) {
-    written = std::move(result.written_pages);
+    executed_ops = result.access_count;
     finished = true;
   });
   sim_.Run();
@@ -517,7 +517,7 @@ FunctionSnapshot Platform::Record(const TraceGenerator& generator, const Workloa
   // remain non-zero garbage). Sanitized: the modified guest kernel zeroed freed
   // pages, so they fall out of the non-zero set (section 4.5).
   snap.memory_vanilla.total_pages = layout.total_pages;
-  snap.memory_vanilla.nonzero = clean.nonzero.Union(written);
+  snap.memory_vanilla.nonzero = clean.nonzero.Union(trace.WrittenPages(executed_ops));
   snap.memory_vanilla.id = store_.Register(snap.function + ".mem", layout.total_pages);
   PlaceFile(snap.memory_vanilla.id, config_.placement.memory_files);
   snap.memory_sanitized.total_pages = layout.total_pages;

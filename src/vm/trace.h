@@ -34,6 +34,8 @@ struct InvocationTrace {
   uint64_t access_count() const { return ops.size(); }
   // Distinct pages touched (upper bound: ops may repeat pages).
   PageRangeSet TouchedPages() const;
+  // Pages written by the first `op_count` ops (the prefix a Vm executed).
+  PageRangeSet WrittenPages(uint64_t op_count) const;
   // Total CPU time in the trace.
   Duration TotalCompute() const;
 };

@@ -18,7 +18,6 @@ void Vm::RunInvocation(const InvocationTrace& trace,
   next_op_ = 0;
   compute_done_ = false;
   started_ = sim_->now();
-  written_ = PageRangeSet();
   status_ = OkStatus();
   done_ = std::move(done);
   for (int i = 0; i < vcpus_; ++i) {
@@ -53,9 +52,6 @@ void Vm::Step(bool may_advance) {
       }
     }
     compute_done_ = false;
-    if (op.is_write) {
-      written_.AddPage(op.page);
-    }
     const PageIndex page = op.page;
     next_op_++;
     FaultClass cls = FaultClass::kNoFault;
@@ -93,8 +89,7 @@ void Vm::Finish() {
   engine_->set_failure_sink(nullptr);
   InvocationResult result;
   result.elapsed = sim_->now() - started_;
-  result.written_pages = std::move(written_);
-  result.access_count = trace_->ops.size();
+  result.access_count = next_op_;
   result.status = std::move(status_);
   // Moved out first: `done` may start the next invocation on this Vm, which
   // reinitializes every field above.

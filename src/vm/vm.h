@@ -4,6 +4,10 @@
 // by host CPU contention) with page accesses (resolved by the FaultEngine). An
 // observer hook reports every first-touch fault as it retires — the FaaSnap and
 // REAP recorders attach here during the record phase.
+//
+// The Vm does not track which pages the guest wrote: that set is a function of
+// the trace and of how far the Vm got, so the record phase, its only reader,
+// builds it as trace.WrittenPages(result.access_count).
 
 #ifndef FAASNAP_SRC_VM_VM_H_
 #define FAASNAP_SRC_VM_VM_H_
@@ -23,7 +27,8 @@ class Vm {
   struct InvocationResult {
     // Simulated time, not wall-clock, from start to completion or abort.
     Duration elapsed;
-    PageRangeSet written_pages;   // pages the guest dirtied (snapshot builders)
+    // Trace ops the Vm executed: every op when the trace ran to completion; on
+    // an abort, the ops up to and including the access that failed.
     uint64_t access_count = 0;
     // OK when the trace ran to completion; otherwise the terminal failure that
     // aborted the invocation (e.g. a device read error that survived retries).
@@ -74,7 +79,6 @@ class Vm {
   size_t next_op_ = 0;
   bool compute_done_ = false;  // compute of ops[next_op_] already performed
   SimTime started_;
-  PageRangeSet written_;
   Status status_;
   std::function<void(InvocationResult)> done_;
 };

@@ -193,5 +193,12 @@ TEST(AddressSpaceDeathTest, OutOfBoundsAborts) {
   EXPECT_DEATH(space.Map({.guest = {5, 10}, .kind = BackingKind::kAnonymous}), "FAASNAP_CHECK");
 }
 
+TEST(AddressSpaceDeathTest, OverlappingLayerAborts) {
+  AddressSpace space(PageCount::FromPages(10));
+  EXPECT_DEATH(space.MapLayer({{.guest = {6, 2}, .kind = BackingKind::kAnonymous},
+                               {.guest = {2, 5}, .kind = BackingKind::kAnonymous}}),
+               "FAASNAP_CHECK");
+}
+
 }  // namespace
 }  // namespace faasnap

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -191,6 +193,43 @@ TEST(PageRangePropertyTest, ComplementAndGapMergeMatchReference) {
     ASSERT_NO_FATAL_FAILURE(
         CheckAgainstReference(s.MergeWithGapTolerance(PageCount::FromPages(tol)), ref_merged))
         << "tol " << tol;
+  }
+}
+
+// The sort-built set equals one AddPage per page, whatever the order: random
+// multisets with duplicates, then the same pages ascending and reversed.
+TEST(PageRangePropertyTest, BuilderMatchesRepeatedAddPage) {
+  Rng rng(0xb011d3);
+  for (int round = 0; round < 60; ++round) {
+    std::vector<PageIndex> pages;
+    const uint64_t n = rng.NextBelow(300);
+    for (uint64_t i = 0; i < n; ++i) {
+      // Short sequential bursts, repeats of earlier pages, and isolated pages.
+      if (!pages.empty() && rng.NextBool(0.3)) {
+        pages.push_back(std::min<PageIndex>(pages.back() + 1, kSpacePages - 1));
+      } else if (!pages.empty() && rng.NextBool(0.2)) {
+        pages.push_back(pages[rng.NextBelow(pages.size())]);
+      } else {
+        pages.push_back(rng.NextBelow(kSpacePages));
+      }
+    }
+    std::vector<PageIndex> ascending = pages;
+    std::sort(ascending.begin(), ascending.end());
+    const std::vector<PageIndex> reversed(ascending.rbegin(), ascending.rend());
+    const std::vector<PageIndex>* orders[] = {&pages, &ascending, &reversed};
+    for (const std::vector<PageIndex>* order : orders) {
+      PageRangeSet expected;
+      PageRangeSet::Builder builder;
+      std::set<PageIndex> ref;
+      for (PageIndex p : *order) {
+        expected.AddPage(p);
+        builder.AddPage(p);
+        ref.insert(p);
+      }
+      const PageRangeSet built = std::move(builder).Build();
+      ASSERT_NO_FATAL_FAILURE(CheckAgainstReference(built, ref)) << "round " << round;
+      ASSERT_EQ(built, expected) << "round " << round;
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
@@ -105,39 +107,163 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PageCachePropertyTest, ::testing::Values(11, 22,
 
 // --- AddressSpace vs a per-page oracle under random MAP_FIXED overlays. ---
 
+// Per-page oracle of the mapping layers. Runs are never coalesced: a Map puts a
+// run start at its first page and at its end, and clears the starts strictly
+// between them.
+struct MappingOracle {
+  explicit MappingOracle(uint64_t pages) : backing(pages), run_start(pages, false) {
+    run_start[0] = true;
+  }
+
+  void Map(const MappingRequest& request) {
+    const PageIndex lo = request.guest.first;
+    const PageIndex hi = request.guest.end();
+    for (PageIndex p = lo; p < hi; ++p) {
+      backing[p] = request.kind == BackingKind::kFile
+                       ? PageBacking{BackingKind::kFile, request.file,
+                                     request.file_start + (p - lo)}
+                       : PageBacking{request.kind, kInvalidFileId, 0};
+      run_start[p] = p == lo;
+    }
+    if (hi < run_start.size()) {
+      run_start[hi] = true;
+    }
+    ++calls;
+  }
+
+  PageRange RunOf(PageIndex page) const {
+    PageIndex first = page;
+    while (!run_start[first]) {
+      --first;
+    }
+    PageIndex end = page + 1;
+    while (end < run_start.size() && !run_start[end]) {
+      ++end;
+    }
+    return PageRange{first, end - first};
+  }
+
+  std::vector<PageBacking> backing;  // default: unmapped
+  std::vector<bool> run_start;
+  uint64_t calls = 0;
+};
+
+MappingRequest RandomRequest(Rng& rng, PageRange guest) {
+  if (rng.NextBool(0.4)) {
+    return {.guest = guest, .kind = BackingKind::kAnonymous};
+  }
+  return {.guest = guest,
+          .kind = BackingKind::kFile,
+          .file = 1 + static_cast<FileId>(rng.NextBelow(4)),
+          .file_start = rng.NextBelow(10000)};
+}
+
+// A layer of pairwise-disjoint requests (some abutting), in shuffled order.
+std::vector<MappingRequest> RandomLayer(Rng& rng, uint64_t pages) {
+  std::vector<MappingRequest> layer;
+  PageIndex cursor = rng.NextBelow(16);
+  while (cursor < pages && layer.size() < 24) {
+    const uint64_t count = std::min<uint64_t>(1 + rng.NextBelow(40), pages - cursor);
+    layer.push_back(RandomRequest(rng, PageRange{cursor, count}));
+    cursor += count + (rng.NextBool(0.3) ? 0 : rng.NextBelow(60));
+  }
+  for (size_t i = layer.size(); i > 1; --i) {
+    std::swap(layer[i - 1], layer[rng.NextBelow(i)]);
+  }
+  return layer;
+}
+
+void ExpectMatchesOracle(const AddressSpace& space, const MappingOracle& oracle, int step) {
+  ASSERT_EQ(space.mmap_call_count(), oracle.calls) << "step " << step;
+  for (PageIndex p = 0; p < oracle.backing.size(); ++p) {
+    ASSERT_EQ(space.Resolve(p), oracle.backing[p]) << "page " << p << " step " << step;
+    ASSERT_EQ(space.MappingRun(p), oracle.RunOf(p)) << "page " << p << " step " << step;
+  }
+}
+
 class AddressSpacePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AddressSpacePropertyTest, LayeringMatchesPerPageOracle) {
   Rng rng(GetParam());
   constexpr uint64_t kPages = 512;
   AddressSpace space(PageCount::FromPages(kPages));
-  std::vector<PageBacking> oracle(kPages);  // default: unmapped
+  MappingOracle oracle(kPages);
 
   for (int step = 0; step < 120; ++step) {
-    const PageIndex first = rng.NextBelow(kPages);
-    const uint64_t count = std::min<uint64_t>(1 + rng.NextBelow(64), kPages - first);
-    if (count == 0) {
-      continue;
-    }
-    if (rng.NextBool(0.4)) {
-      space.Map({.guest = {first, count}, .kind = BackingKind::kAnonymous});
-      for (PageIndex p = first; p < first + count; ++p) {
-        oracle[p] = PageBacking{BackingKind::kAnonymous, kInvalidFileId, 0};
+    if (rng.NextBool(0.25)) {
+      // One layer through MapLayer: the oracle maps it one request at a time.
+      const std::vector<MappingRequest> layer = RandomLayer(rng, kPages);
+      space.MapLayer(layer);
+      for (const MappingRequest& request : layer) {
+        oracle.Map(request);
       }
     } else {
-      const FileId file = 1 + static_cast<FileId>(rng.NextBelow(4));
-      const PageIndex file_start = rng.NextBelow(10000);
-      space.Map({.guest = {first, count},
-                 .kind = BackingKind::kFile,
-                 .file = file,
-                 .file_start = file_start});
-      for (PageIndex p = first; p < first + count; ++p) {
-        oracle[p] = PageBacking{BackingKind::kFile, file, file_start + (p - first)};
-      }
+      const PageIndex first = rng.NextBelow(kPages);
+      const uint64_t count = std::min<uint64_t>(1 + rng.NextBelow(64), kPages - first);
+      const MappingRequest request = RandomRequest(rng, PageRange{first, count});
+      space.Map(request);
+      oracle.Map(request);
+    }
+    if (step % 10 == 9) {
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(space, oracle, step));
     }
   }
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(space, oracle, 120));
+}
+
+// The anonymous footprint reads per-block resident counts; both install forms
+// keep them, and the guest size leaves a partial last block.
+TEST_P(AddressSpacePropertyTest, AnonymousFootprintMatchesBruteForce) {
+  Rng rng(GetParam() ^ 0xF007);
+  constexpr uint64_t kPages = 1000;  // not a multiple of the 128-page block
+  AddressSpace space(PageCount::FromPages(kPages));
+  MappingOracle oracle(kPages);
+  std::vector<PageInstallState> install(kPages, PageInstallState::kNotPresent);
+  const auto random_state = [&rng] {
+    return static_cast<PageInstallState>(rng.NextBelow(3));
+  };
+
+  for (int step = 0; step < 200; ++step) {
+    const double action = rng.NextDouble();
+    if (action < 0.1) {
+      const std::vector<MappingRequest> layer = RandomLayer(rng, kPages);
+      space.MapLayer(layer);
+      for (const MappingRequest& request : layer) {
+        oracle.Map(request);
+      }
+    } else if (action < 0.2) {
+      const PageIndex first = rng.NextBelow(kPages);
+      const uint64_t count = std::min<uint64_t>(1 + rng.NextBelow(300), kPages - first);
+      const MappingRequest request = RandomRequest(rng, PageRange{first, count});
+      space.Map(request);
+      oracle.Map(request);
+    } else if (action < 0.6) {
+      const PageIndex page = rng.NextBelow(kPages);
+      const PageInstallState state = random_state();
+      space.SetInstallState(page, state);
+      install[page] = state;
+    } else {
+      const PageIndex first = rng.NextBelow(kPages);
+      const uint64_t count = std::min<uint64_t>(1 + rng.NextBelow(260), kPages - first);
+      const PageInstallState state = random_state();
+      space.SetInstallState(PageRange{first, count}, state);
+      for (PageIndex p = first; p < first + count; ++p) {
+        install[p] = state;
+      }
+    }
+    uint64_t resident = 0;
+    uint64_t anonymous = 0;
+    for (PageIndex p = 0; p < kPages; ++p) {
+      if (install[p] != PageInstallState::kNotPresent) {
+        ++resident;
+        anonymous += oracle.backing[p].kind == BackingKind::kAnonymous ? 1 : 0;
+      }
+    }
+    ASSERT_EQ(space.resident_pages().value(), resident) << "step " << step;
+    ASSERT_EQ(space.resident_anonymous_pages().value(), anonymous) << "step " << step;
+  }
   for (PageIndex p = 0; p < kPages; ++p) {
-    EXPECT_EQ(space.Resolve(p), oracle[p]) << "page " << p;
+    ASSERT_EQ(space.install_state(p), install[p]) << "page " << p;
   }
 }
 

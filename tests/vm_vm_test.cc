@@ -75,7 +75,7 @@ TEST_F(VmTest, ComputePlusAnonymousFaults) {
   // 10 * (100us compute + 2.5us anon fault)
   EXPECT_EQ(r.elapsed, Duration::Micros(1025));
   EXPECT_EQ(r.access_count, 10u);
-  EXPECT_EQ(r.written_pages.page_count(), 10u);
+  EXPECT_EQ(trace.WrittenPages(r.access_count).page_count(), 10u);
   EXPECT_EQ(engine_->metrics().count(FaultClass::kAnonymous), 10);
 }
 
@@ -157,8 +157,9 @@ TEST_F(VmTest, WrittenPagesExcludeReads) {
   trace.ops.push_back(TraceOp{Duration::Zero(), 1, false});
   trace.ops.push_back(TraceOp{Duration::Zero(), 2, true});
   Vm::InvocationResult r = Run(trace);
-  EXPECT_FALSE(r.written_pages.Contains(1));
-  EXPECT_TRUE(r.written_pages.Contains(2));
+  const PageRangeSet written = trace.WrittenPages(r.access_count);
+  EXPECT_FALSE(written.Contains(1));
+  EXPECT_TRUE(written.Contains(2));
 }
 
 // ---- fast-forward: directed cases ----
@@ -229,9 +230,10 @@ TEST_F(VmTest, DoneCanStartTheNextInvocationOnTheSameVm) {
   EXPECT_EQ(results[1].elapsed, Duration::Nanos(7500));   // 4 + 2.5 + 0 + 1 us
   EXPECT_EQ(results[2].elapsed, Duration::Micros(5));     // both pages present now
   EXPECT_EQ(finished_at[2], SimTime() + Duration::Nanos(23000));
-  EXPECT_EQ(results[1].written_pages.page_count(), 1u);
-  EXPECT_TRUE(results[1].written_pages.Contains(2));
   EXPECT_EQ(results[1].access_count, 2u);
+  const PageRangeSet written = second.WrittenPages(results[1].access_count);
+  EXPECT_EQ(written.page_count(), 1u);
+  EXPECT_TRUE(written.Contains(2));
   EXPECT_EQ(cpu_.runnable(), 0);
 }
 
@@ -255,6 +257,10 @@ TEST_F(VmTest, TerminalReadFailureAbortsThenTheVmRunsAgain) {
   Vm::InvocationResult aborted = Run(doomed);
   EXPECT_FALSE(aborted.status.ok());
   EXPECT_EQ(observed, (std::vector<PageIndex>{3}));  // the failed access never retires
+  // The prefix the Vm executed ends at the failed access, so the record phase's
+  // written set holds page 3 but not the never-reached write to page 4.
+  EXPECT_EQ(aborted.access_count, 2u);
+  EXPECT_EQ(doomed.WrittenPages(aborted.access_count), PageRangeSet({PageRange{3, 1}}));
   EXPECT_EQ(cpu_.runnable(), 0);
 
   InvocationTrace healthy;
@@ -263,6 +269,7 @@ TEST_F(VmTest, TerminalReadFailureAbortsThenTheVmRunsAgain) {
   healthy.trailing_compute = Duration::Micros(2);
   Vm::InvocationResult ok = Run(healthy);
   EXPECT_TRUE(ok.status.ok());
+  EXPECT_EQ(ok.access_count, 2u);
   EXPECT_EQ(ok.elapsed, Duration::Micros(11));  // 3 x 2 us compute + 2 x 2.5 us
   EXPECT_EQ(observed, (std::vector<PageIndex>{3, 5, 6}));
 }
@@ -394,7 +401,7 @@ enum class RunMode { kAlone, kRandomTicker, kEveryNanosecond, kEpochs };
 struct Outcome {
   std::vector<std::tuple<PageIndex, FaultClass, int64_t>> observed;
   Duration elapsed;
-  PageRangeSet written;
+  uint64_t access_count = 0;  // the record phase's written set is a function of it
   FaultMetrics metrics;
   uint64_t events = 0;  // fired, not counting the ticker's
 };
@@ -426,7 +433,7 @@ Outcome RunScenario(const Scenario& sc, RunMode mode, uint64_t seed) {
   }
   w.vm->RunInvocation(sc.trace, [&](Vm::InvocationResult r) {
     out.elapsed = r.elapsed;
-    out.written = std::move(r.written_pages);
+    out.access_count = r.access_count;
     EXPECT_TRUE(r.status.ok());
     finished = true;
   });
@@ -472,7 +479,7 @@ TEST(VmFastForwardProperty, InvisibleUnderEveryRunMode) {
       const Outcome other = RunScenario(sc, mode, seed);
       ASSERT_EQ(alone.observed, other.observed);
       EXPECT_EQ(alone.elapsed, other.elapsed);
-      EXPECT_EQ(alone.written, other.written);
+      EXPECT_EQ(alone.access_count, other.access_count);
       ExpectSameMetrics(alone.metrics, other.metrics);
       if (mode == RunMode::kEveryNanosecond) {
         blocked_events += other.events;
