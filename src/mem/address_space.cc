@@ -72,28 +72,10 @@ size_t AddressSpace::RunIndex(PageIndex page) const {
   return static_cast<size_t>(it - runs_.begin()) - 1;
 }
 
-PageBacking AddressSpace::Resolve(PageIndex page) const {
-  const Run& run = runs_[RunIndex(page)];
-  PageBacking backing = run.backing;
-  if (backing.kind == BackingKind::kFile) {
-    backing.file_page += page - run.start;
-  }
-  return backing;
-}
-
-void AddressSpace::SetInstallState(PageIndex page, PageInstallState s) {
-  FAASNAP_CHECK(page < limit());
-  const auto old = static_cast<PageInstallState>(install_[page]);
-  const bool was_resident = old != PageInstallState::kNotPresent;
-  const bool now_resident = s != PageInstallState::kNotPresent;
-  install_[page] = static_cast<uint8_t>(s);
-  if (!was_resident && now_resident) {
-    resident_pages_ += PageCount::FromPages(1);
-    ++block_resident_[page / kResidentBlockPages];
-  } else if (was_resident && !now_resident) {
-    resident_pages_ -= PageCount::FromPages(1);
-    --block_resident_[page / kResidentBlockPages];
-  }
+AddressSpace::Mapping AddressSpace::MappingOf(PageIndex page) const {
+  const size_t index = RunIndex(page);
+  return Mapping{PageRange{runs_[index].start, RunEnd(index) - runs_[index].start},
+                 runs_[index].backing};
 }
 
 void AddressSpace::SetInstallState(PageRange range, PageInstallState s) {
@@ -128,11 +110,6 @@ bool AddressSpace::AllInState(PageRange range, PageInstallState s) const {
     }
   }
   return true;
-}
-
-PageRange AddressSpace::MappingRun(PageIndex page) const {
-  const size_t index = RunIndex(page);
-  return PageRange{runs_[index].start, RunEnd(index) - runs_[index].start};
 }
 
 void AddressSpace::ConfigureHugeRegions(PageCount region_pages) {

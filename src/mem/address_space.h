@@ -89,13 +89,32 @@ class AddressSpace {
   // Map per request.
   void MapLayer(std::vector<MappingRequest> layer);
 
-  // Backing of `page` under the current layering.
-  PageBacking Resolve(PageIndex page) const;
+  // One mapping run: the pages sharing one mmap (same backing kind and file,
+  // file offsets advancing linearly) and the backing of its first page.
+  struct Mapping {
+    PageRange run;
+    PageBacking backing;
 
-  // The maximal run [start, end) of pages sharing one mapping with `page`
-  // (same backing kind/file, file offsets advancing linearly). Range installs
-  // and huge regions must not cross a run boundary.
-  PageRange MappingRun(PageIndex page) const;
+    // Backing of `page`, which must lie in `run`.
+    PageBacking At(PageIndex page) const {
+      PageBacking b = backing;
+      if (b.kind == BackingKind::kFile) {
+        b.file_page += page - run.first;
+      }
+      return b;
+    }
+  };
+
+  // The mapping run holding `page` and its backing, in one search. The fault
+  // path keeps it for the later pages of the run it serves.
+  Mapping MappingOf(PageIndex page) const;
+
+  // Backing of `page` under the current layering.
+  PageBacking Resolve(PageIndex page) const { return MappingOf(page).At(page); }
+
+  // The maximal run [start, end) of pages sharing one mapping with `page`.
+  // Range installs and huge regions must not cross a run boundary.
+  PageRange MappingRun(PageIndex page) const { return MappingOf(page).run; }
 
   PageCount total_pages() const { return total_pages_; }
   uint64_t mmap_call_count() const { return mmap_call_count_; }
@@ -104,7 +123,20 @@ class AddressSpace {
   PageInstallState install_state(PageIndex page) const {
     return static_cast<PageInstallState>(install_[page]);
   }
-  void SetInstallState(PageIndex page, PageInstallState s);
+  // Inline: every fault retire sets one page.
+  void SetInstallState(PageIndex page, PageInstallState s) {
+    FAASNAP_CHECK(page < limit());
+    const bool was_resident = install_[page] != static_cast<uint8_t>(PageInstallState::kNotPresent);
+    const bool now_resident = s != PageInstallState::kNotPresent;
+    install_[page] = static_cast<uint8_t>(s);
+    if (!was_resident && now_resident) {
+      resident_pages_ += PageCount::FromPages(1);
+      ++block_resident_[page / kResidentBlockPages];
+    } else if (was_resident && !now_resident) {
+      resident_pages_ -= PageCount::FromPages(1);
+      --block_resident_[page / kResidentBlockPages];
+    }
+  }
   // Range form: one pass over the run with a single resident-count adjustment,
   // so batched installs are O(runs) rather than per-page bookkeeping.
   void SetInstallState(PageRange range, PageInstallState s);

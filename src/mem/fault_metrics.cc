@@ -34,16 +34,6 @@ int64_t FaultMetrics::total_faults() const {
   return total;
 }
 
-void FaultMetrics::RecordFault(FaultClass c, Duration handling, Duration extra_wait) {
-  counts[static_cast<int>(c)]++;
-  if (c == FaultClass::kNoFault) {
-    return;
-  }
-  total_fault_time += handling;
-  total_wait_time += handling + extra_wait;
-  latency_histogram.Record(handling);
-}
-
 void FaultMetrics::Merge(const FaultMetrics& other) {
   for (int i = 0; i < static_cast<int>(FaultClass::kClassCount); ++i) {
     counts[i] += other.counts[i];

@@ -63,7 +63,16 @@ struct FaultMetrics {
   int64_t count(FaultClass c) const { return counts[static_cast<int>(c)]; }
   int64_t total_faults() const;
   int64_t major_faults() const { return count(FaultClass::kMajor); }
-  void RecordFault(FaultClass c, Duration handling, Duration extra_wait = Duration::Zero());
+  // Inline: the fault path calls it for every page access.
+  void RecordFault(FaultClass c, Duration handling, Duration extra_wait = Duration::Zero()) {
+    counts[static_cast<int>(c)]++;
+    if (c == FaultClass::kNoFault) {
+      return;
+    }
+    total_fault_time += handling;
+    total_wait_time += handling + extra_wait;
+    latency_histogram.Record(handling);
+  }
   void Merge(const FaultMetrics& other);
 };
 

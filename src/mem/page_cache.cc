@@ -25,20 +25,25 @@ std::map<PageIndex, PageCache::InFlightSpan>::const_iterator PageCache::FirstSpa
   return it;
 }
 
-PageCache::PageState PageCache::GetState(FileId file, PageIndex page) const {
+PageCache::PageLookup PageCache::Lookup(FileId file, PageIndex page) const {
   MutexLock lock(mu_);
   const FileState* fs = FindFile(file);
   if (fs == nullptr) {
-    return PageState::kAbsent;
+    return PageLookup{};
   }
-  if (fs->present.Contains(page)) {
-    return PageState::kPresent;
+  // The present set's ranges are sorted and disjoint: the only candidate is the
+  // last range starting at or before `page`.
+  const std::vector<PageRange>& present = fs->present.ranges();
+  auto run = std::upper_bound(present.begin(), present.end(), page,
+                              [](PageIndex v, const PageRange& r) { return v < r.first; });
+  if (run != present.begin() && std::prev(run)->Contains(page)) {
+    return PageLookup{PageState::kPresent, *std::prev(run)};
   }
   auto it = FirstSpanEndingAfter(*fs, page);
   if (it != fs->in_flight.end() && it->first <= page) {
-    return PageState::kInFlight;
+    return PageLookup{PageState::kInFlight, PageRange{page, 0}};
   }
-  return PageState::kAbsent;
+  return PageLookup{PageState::kAbsent, PageRange{page, 0}};
 }
 
 PageCache::ReadHandle PageCache::BeginRead(FileId file, PageRange range) {

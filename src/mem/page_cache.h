@@ -48,7 +48,16 @@ class PageCache {
   PageCache(const PageCache&) = delete;
   PageCache& operator=(const PageCache&) = delete;
 
-  PageState GetState(FileId file, PageIndex page) const FAASNAP_EXCLUDES(mu_);
+  // One page's state and, when it is present, the present run holding it
+  // (empty otherwise), from one locked search: the fault path answers the
+  // later pages of that run without asking again.
+  struct PageLookup {
+    PageState state = PageState::kAbsent;
+    PageRange present;
+  };
+  PageLookup Lookup(FileId file, PageIndex page) const FAASNAP_EXCLUDES(mu_);
+
+  PageState GetState(FileId file, PageIndex page) const { return Lookup(file, page).state; }
   bool IsPresent(FileId file, PageIndex page) const {
     return GetState(file, page) == PageState::kPresent;
   }

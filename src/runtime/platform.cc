@@ -495,16 +495,16 @@ FunctionSnapshot Platform::Record(const TraceGenerator& generator, const Workloa
   Vm vm(&sim_, &engine, &cpu_, config_.guest.vcpus);
   FaasnapRecorder faasnap_recorder(&cache_, clean.id, config_.ws_group_size);
   ReapRecorder reap_recorder;
-  vm.set_access_observer([&](PageIndex page, FaultClass cls) {
+  engine.set_access_observer([&](PageIndex page, FaultClass cls) {
     faasnap_recorder.OnAccess(page, cls);
     reap_recorder.OnAccess(page, cls);
   });
 
   InvocationTrace trace = generator.Generate(input);
-  uint64_t executed_ops = 0;
+  uint64_t pages_executed = 0;
   bool finished = false;
   vm.RunInvocation(trace, [&](Vm::InvocationResult result) {
-    executed_ops = result.access_count;
+    pages_executed = result.access_count;
     finished = true;
   });
   sim_.Run();
@@ -517,7 +517,7 @@ FunctionSnapshot Platform::Record(const TraceGenerator& generator, const Workloa
   // remain non-zero garbage). Sanitized: the modified guest kernel zeroed freed
   // pages, so they fall out of the non-zero set (section 4.5).
   snap.memory_vanilla.total_pages = layout.total_pages;
-  snap.memory_vanilla.nonzero = clean.nonzero.Union(trace.WrittenPages(executed_ops));
+  snap.memory_vanilla.nonzero = clean.nonzero.Union(trace.WrittenPages(pages_executed));
   snap.memory_vanilla.id = store_.Register(snap.function + ".mem", layout.total_pages);
   PlaceFile(snap.memory_vanilla.id, config_.placement.memory_files);
   snap.memory_sanitized.total_pages = layout.total_pages;

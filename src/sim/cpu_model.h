@@ -6,8 +6,10 @@
 // runnable on C cores, compute time stretches by max(1, R/C).
 //
 // The scaling factor is sampled when a compute burst is issued; bursts are short
-// (trace ops), so resampling per burst tracks contention closely enough for the
-// figure's shape without a full multiprocessor scheduler.
+// (one per page access), so resampling per burst tracks contention closely
+// enough for the figure's shape without a full multiprocessor scheduler. The
+// factor changes only inside events, so every burst issued within one event
+// (one Vm::Step) scales by the same factor.
 
 #ifndef FAASNAP_SRC_SIM_CPU_MODEL_H_
 #define FAASNAP_SRC_SIM_CPU_MODEL_H_

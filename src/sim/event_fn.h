@@ -23,6 +23,15 @@ namespace faasnap {
 
 class EventFn {
  public:
+  static constexpr size_t kInlineBytes = 48;
+
+  // Whether a closure of type D is stored inline (no heap allocation). Hot
+  // callers static_assert it next to their Schedule call.
+  template <typename D>
+  static constexpr bool kFitsInline = sizeof(D) <= kInlineBytes &&
+                                      alignof(D) <= alignof(std::max_align_t) &&
+                                      std::is_nothrow_move_constructible_v<D>;
+
   EventFn() noexcept = default;
   EventFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
@@ -70,13 +79,6 @@ class EventFn {
   explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
  private:
-  static constexpr size_t kInlineBytes = 48;
-
-  template <typename D>
-  static constexpr bool kFitsInline = sizeof(D) <= kInlineBytes &&
-                                      alignof(D) <= alignof(std::max_align_t) &&
-                                      std::is_nothrow_move_constructible_v<D>;
-
   template <typename F, typename D>
   void Init(F&& f) {
     if constexpr (kFitsInline<D>) {

@@ -25,9 +25,10 @@
 //    already queued would win the FIFO tie (a cancelled head counts as live);
 //  * the caller does the skipped event's work as the last action of the
 //    current event, so nothing runs between "now" and t.
-// Fast-forwards fire no event and do not count in processed_events(). The Vm
-// (compute bursts, trailing compute) and the FaultEngine (fixed-cost faults)
-// are the only callers.
+// Fast-forwards fire no event and do not count in processed_events(). The
+// callers are the Vm (trailing compute) and FaultEngine::AccessRun (each
+// page's compute burst and each fixed-cost fault of a run); AccessRun checks
+// every page on its own, as its clock moves past earlier pages of the run.
 
 #ifndef FAASNAP_SRC_SIM_SIMULATION_H_
 #define FAASNAP_SRC_SIM_SIMULATION_H_

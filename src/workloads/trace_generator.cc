@@ -109,6 +109,8 @@ PageRangeSet TraceGenerator::CleanSnapshotNonZero() const {
 
 InvocationTrace TraceGenerator::Generate(const WorkloadInput& input) const {
   InvocationTrace trace;
+  // Runs are built with zero compute and given their per-page compute at the
+  // end: every access carries the same share, so the runs stay maximal.
 
   // 1. Stable pages: the scattered runtime segment in a fixed shuffled order
   //    (library/init order is uncorrelated with addresses and identical every
@@ -137,10 +139,11 @@ InvocationTrace TraceGenerator::Generate(const WorkloadInput& input) const {
       std::swap(scattered[i - 1], scattered[shuffle_rng.NextBelow(i)]);
     }
     for (PageIndex p : scattered) {
-      trace.ops.push_back(TraceOp{Duration::Zero(), p, /*is_write=*/false});
+      trace.Append(p, 1, Duration::Zero(), /*is_write=*/false);
     }
-    for (PageIndex p = sequential_stable_.first; p < sequential_stable_.end(); ++p) {
-      trace.ops.push_back(TraceOp{Duration::Zero(), p, /*is_write=*/false});
+    if (!sequential_stable_.empty()) {
+      trace.Append(sequential_stable_.first, sequential_stable_.count, Duration::Zero(),
+                   /*is_write=*/false);
     }
   }
 
@@ -160,11 +163,21 @@ InvocationTrace TraceGenerator::Generate(const WorkloadInput& input) const {
     const PageCount effective_input = std::min(input.profile.input_pages, window);
     const double density =
         static_cast<double>(effective_input.value()) / static_cast<double>(window.value());
-    for (uint64_t i = 0; i < window.value(); ++i) {
-      const PageIndex page = layout_.window.first + i;
-      if (density >= 1.0 || PageSelectionScore(page, input.content_seed) < density) {
-        trace.ops.push_back(TraceOp{Duration::Zero(), page, /*is_write=*/true});
+    const PageIndex window_end = layout_.window.first + window.value();
+    const auto selected = [&](PageIndex page) {
+      return density >= 1.0 || PageSelectionScore(page, input.content_seed) < density;
+    };
+    // One test per page, as the page-by-page sweep had; each selected stretch
+    // is appended as one run.
+    for (PageIndex page = layout_.window.first; page < window_end;) {
+      if (!selected(page)) {
+        ++page;
+        continue;
       }
+      const PageIndex first = page;
+      while (++page < window_end && selected(page)) {
+      }
+      trace.Append(first, page - first, Duration::Zero(), /*is_write=*/true);
     }
   }
 
@@ -180,8 +193,8 @@ InvocationTrace TraceGenerator::Generate(const WorkloadInput& input) const {
     const PageIndex base = layout_.scratch.first + offset;
     const uint64_t anon =
         std::min<uint64_t>(input.profile.anon_pages.value(), layout_.scratch.end() - base);
-    for (uint64_t i = 0; i < anon; ++i) {
-      trace.ops.push_back(TraceOp{Duration::Zero(), base + i, /*is_write=*/true});
+    if (anon > 0) {
+      trace.Append(base, anon, Duration::Zero(), /*is_write=*/true);
     }
     const auto freed = static_cast<uint64_t>(static_cast<double>(anon) *
                                              spec_.anon_freed_fraction);
@@ -195,13 +208,14 @@ InvocationTrace TraceGenerator::Generate(const WorkloadInput& input) const {
   const auto trailing = Duration::Nanos(static_cast<int64_t>(
       static_cast<double>(input.profile.compute.nanos()) * spec_.trailing_compute_fraction));
   const Duration interleaved = input.profile.compute - trailing;
-  if (!trace.ops.empty()) {
-    const int64_t per_op = interleaved.nanos() / static_cast<int64_t>(trace.ops.size());
-    for (TraceOp& op : trace.ops) {
-      op.compute = Duration::Nanos(per_op);
+  const uint64_t accesses = trace.access_count();
+  if (accesses > 0) {
+    const int64_t per_access = interleaved.nanos() / static_cast<int64_t>(accesses);
+    for (TraceRun& run : trace.runs) {
+      run.compute = Duration::Nanos(per_access);
     }
     trace.trailing_compute =
-        input.profile.compute - Duration::Nanos(per_op * static_cast<int64_t>(trace.ops.size()));
+        input.profile.compute - Duration::Nanos(per_access * static_cast<int64_t>(accesses));
   } else {
     trace.trailing_compute = input.profile.compute;
   }

@@ -14,7 +14,9 @@
 //      (the mmap-function / buffer-allocation pattern).
 //
 // Transient pages (2) and (3) are freed when the invocation ends; compute is
-// spread uniformly across the accesses.
+// spread uniformly across the accesses. Generate emits maximal runs (see
+// vm/trace.h), so the sequential parts cost O(1) and only the scattered and
+// window pages are placed one by one.
 
 #ifndef FAASNAP_SRC_WORKLOADS_TRACE_GENERATOR_H_
 #define FAASNAP_SRC_WORKLOADS_TRACE_GENERATOR_H_

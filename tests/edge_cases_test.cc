@@ -60,7 +60,7 @@ TEST(EdgeCases, TinyScaledInput) {
   ASSERT_TRUE(spec.ok());
   TraceGenerator generator(*spec, GuestLayout::Default2GiB());
   InvocationTrace trace = generator.Generate(MakeScaledInput(*spec, 1.0 / 16.0, 5));
-  EXPECT_GT(trace.ops.size(), spec->stable_pages.value());  // stable + a few input pages
+  EXPECT_GT(trace.access_count(), spec->stable_pages.value());  // stable + a few input pages
   EXPECT_GT(trace.TotalCompute(), Duration::Zero());
 }
 
@@ -71,7 +71,7 @@ TEST(EdgeCases, OversizedScaledInputClampsToWindowZone) {
   GuestLayout layout = GuestLayout::Default2GiB();
   TraceGenerator generator(*spec, layout);
   InvocationTrace trace = generator.Generate(MakeScaledInput(*spec, 64.0, 5));
-  for (const TraceOp& op : trace.ops) {
+  for (const TraceOp& op : trace.ExpandedOps()) {
     ASSERT_LT(op.page, layout.total_pages.value());
   }
 }

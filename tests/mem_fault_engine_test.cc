@@ -12,6 +12,16 @@ constexpr FileId kMemFile = 1;
 constexpr uint64_t kSpacePages = 4096;
 constexpr PageCount kFilePages = PageCount::FromPages(4096);
 
+// Counts the engine's calls back into the guest after evented retires.
+class CountingGuest : public FaultGuest {
+ public:
+  void Resume() override { ++resumed; }
+  void Fail(const Status&) override { ++failed; }
+
+  int resumed = 0;
+  int failed = 0;
+};
+
 class FaultEngineTest : public ::testing::Test {
  protected:
   FaultEngineTest() : disk_(&sim_, TestDiskProfile()), space_(PageCount::FromPages(kSpacePages)) {
@@ -26,10 +36,12 @@ class FaultEngineTest : public ::testing::Test {
   std::pair<FaultClass, Duration> AccessAndWait(PageIndex page) {
     const SimTime start = sim_.now();
     FaultClass out = FaultClass::kNoFault;
-    bool sync = engine_->Access(page, [&](FaultClass c) { out = c; });
+    engine_->set_access_observer([&](PageIndex, FaultClass c) { out = c; });
+    bool sync = engine_->Access(page);
     if (!sync) {
       sim_.Run();
     }
+    engine_->set_access_observer(nullptr);  // it refers to `out`
     return {out, sim_.now() - start};
   }
 
@@ -45,9 +57,11 @@ class FaultEngineTest : public ::testing::Test {
 TEST_F(FaultEngineTest, PresentPageIsSynchronousNoFault) {
   space_.Map({.guest = {0, kSpacePages}, .kind = BackingKind::kAnonymous});
   space_.SetInstallState(7, PageInstallState::kPresent);
-  bool called = false;
-  EXPECT_TRUE(engine_->Access(7, [&](FaultClass) { called = true; }));
-  EXPECT_FALSE(called);
+  CountingGuest guest;
+  engine_->set_guest(&guest);
+  EXPECT_TRUE(engine_->Access(7));
+  sim_.Run();
+  EXPECT_EQ(guest.resumed, 0);  // a synchronous retire never comes back through an event
   EXPECT_EQ(engine_->metrics().count(FaultClass::kNoFault), 1);
   EXPECT_EQ(engine_->metrics().total_faults(), 0);
 }
@@ -59,7 +73,7 @@ TEST_F(FaultEngineTest, AnonymousFaultCostsAnonLatency) {
   EXPECT_EQ(elapsed, engine_->costs().anonymous_fault);
   EXPECT_EQ(space_.install_state(5), PageInstallState::kPresent);
   // Second access is free.
-  EXPECT_TRUE(engine_->Access(5, [](FaultClass) {}));
+  EXPECT_TRUE(engine_->Access(5));
 }
 
 TEST_F(FaultEngineTest, MinorFaultServedFromPageCache) {
@@ -205,7 +219,7 @@ TEST_F(FaultEngineTest, MetricsAccumulateAcrossClasses) {
 TEST_F(FaultEngineTest, UnmappedAccessAborts) {
   EXPECT_DEATH(
       {
-        engine_->Access(0, [](FaultClass) {});
+        engine_->Access(0);
         sim_.Run();
       },
       "unmapped");

@@ -38,10 +38,12 @@ class FaultPathTest : public ::testing::Test {
   std::pair<FaultClass, Duration> AccessAndWait(PageIndex page) {
     const SimTime start = sim_.now();
     FaultClass out = FaultClass::kNoFault;
-    bool sync = engine_->Access(page, [&](FaultClass c) { out = c; });
+    engine_->set_access_observer([&](PageIndex, FaultClass c) { out = c; });
+    bool sync = engine_->Access(page);
     if (!sync) {
       sim_.Run();
     }
+    engine_->set_access_observer(nullptr);  // it refers to `out`
     return {out, sim_.now() - start};
   }
 
@@ -180,8 +182,8 @@ TEST_F(FaultPathTest, HugeFaultInstallsWholeAnonymousRegion) {
   EXPECT_EQ(engine_->metrics().huge_installed_pages.value(), kHugePages);
   EXPECT_EQ(engine_->metrics().count(FaultClass::kHugeInstall), 1);
   // Every other page of the region is now fault-free.
-  EXPECT_TRUE(engine_->Access(512, [](FaultClass) {}));
-  EXPECT_TRUE(engine_->Access(1023, [](FaultClass) {}));
+  EXPECT_TRUE(engine_->Access(512));
+  EXPECT_TRUE(engine_->Access(1023));
   // Pages outside the region still fault normally.
   auto [cls2, elapsed2] = AccessAndWait(1024);
   EXPECT_EQ(cls2, FaultClass::kAnonymous);
@@ -261,8 +263,8 @@ TEST_F(FaultPathTest, CoalescedFaultRetiresWholeInFlightRun) {
   // No extra disk traffic, and neighbors are now free.
   EXPECT_EQ(engine_->metrics().fault_disk_requests, 0u);
   EXPECT_EQ(disk_.stats().read_requests, 1u);
-  EXPECT_TRUE(engine_->Access(100, [](FaultClass) {}));
-  EXPECT_TRUE(engine_->Access(199, [](FaultClass) {}));
+  EXPECT_TRUE(engine_->Access(100));
+  EXPECT_TRUE(engine_->Access(199));
 }
 
 TEST_F(FaultPathTest, CoalescingOffRetiresOnlyTheFaultingPage) {
@@ -295,7 +297,8 @@ TEST_F(FaultPathTest, DisabledLeversMatchEngineWithoutFaultPathConfig) {
 
   const SimTime t0 = sim_.now();
   FaultClass cls = FaultClass::kNoFault;
-  baseline.Access(7, [&](FaultClass c) { cls = c; });
+  baseline.set_access_observer([&](PageIndex, FaultClass c) { cls = c; });
+  baseline.Access(7);
   sim_.Run();
   const Duration baseline_elapsed = sim_.now() - t0;
 

@@ -298,18 +298,23 @@ TEST_P(FaultEnginePropertyTest, RandomWorkloadInvariants) {
 
   int issued = 0;
   int retired = 0;
+  bool in_access = false;
+  engine.set_access_observer([&](PageIndex, FaultClass cls) {
+    ++retired;
+    if (!in_access) {
+      EXPECT_NE(cls, FaultClass::kNoFault);  // async completions are real faults
+    }
+  });
   PageRangeSet accessed;
   for (int i = 0; i < 600; ++i) {
     const PageIndex page = rng.NextBelow(kPages);
     accessed.AddPage(page);
     ++issued;
-    const bool sync = engine.Access(page, [&](FaultClass cls) {
-      ++retired;
-      EXPECT_NE(cls, FaultClass::kNoFault);  // async completions are real faults
-    });
-    if (sync) {
-      ++retired;
-    }
+    const int retired_before = retired;
+    in_access = true;
+    const bool sync = engine.Access(page);
+    in_access = false;
+    EXPECT_EQ(retired - retired_before, sync ? 1 : 0);  // a sync access retired in the call
     if (rng.NextBool(0.3)) {
       sim.Run();  // drain sometimes, letting IO interleave otherwise
     }

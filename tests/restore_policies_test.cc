@@ -162,7 +162,8 @@ TEST_F(PoliciesTest, ReapOutOfWorkingSetFaultGoesThroughUffd) {
   auto policy = RestorePolicy::Create(RestoreMode::kReap);
   Setup(policy.get());
   FaultClass cls = FaultClass::kNoFault;
-  bool sync = engine_->Access(700, [&](FaultClass c) { cls = c; });
+  engine_->set_access_observer([&](PageIndex, FaultClass c) { cls = c; });
+  bool sync = engine_->Access(700);
   EXPECT_FALSE(sync);
   sim_.Run();
   EXPECT_EQ(cls, FaultClass::kUffdHandled);
@@ -178,7 +179,8 @@ TEST_F(PoliciesTest, ReapMonitorChargesPreadOnlyOnCacheHit) {
   cache_.Insert(snapshot_.memory_vanilla.id, PageRange{700, 1});
   SimTime t0 = sim_.now();
   FaultClass cls = FaultClass::kNoFault;
-  engine_->Access(700, [&](FaultClass c) { cls = c; });
+  engine_->set_access_observer([&](PageIndex, FaultClass c) { cls = c; });
+  engine_->Access(700);
   sim_.Run();
   EXPECT_EQ(cls, FaultClass::kUffdHandled);
   EXPECT_EQ(sim_.now() - t0, config_.host_costs.cached_pread_page +
@@ -204,7 +206,8 @@ TEST_F(PoliciesTest, ReapMonitorSkipsPreadChargeOnCacheMiss) {
   // read + round trip + vCPU block.
   t0 = sim_.now();
   FaultClass cls = FaultClass::kNoFault;
-  engine_->Access(800, [&](FaultClass c) { cls = c; });
+  engine_->set_access_observer([&](PageIndex, FaultClass c) { cls = c; });
+  engine_->Access(800);
   sim_.Run();
   EXPECT_EQ(cls, FaultClass::kUffdHandled);
   EXPECT_EQ(sim_.now() - t0, read_time + config_.host_costs.uffd_round_trip +

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/chaos/fault_injector.h"
@@ -69,7 +73,7 @@ TEST_F(VmTest, ComputePlusAnonymousFaults) {
   space_.Map({.guest = {0, kPages}, .kind = BackingKind::kAnonymous});
   InvocationTrace trace;
   for (int i = 0; i < 10; ++i) {
-    trace.ops.push_back(TraceOp{Duration::Micros(100), static_cast<PageIndex>(i), true});
+    trace.Append(TraceOp{Duration::Micros(100), static_cast<PageIndex>(i), true});
   }
   Vm::InvocationResult r = Run(trace);
   // 10 * (100us compute + 2.5us anon fault)
@@ -83,7 +87,7 @@ TEST_F(VmTest, RepeatAccessesAreFree) {
   space_.Map({.guest = {0, kPages}, .kind = BackingKind::kAnonymous});
   InvocationTrace trace;
   for (int i = 0; i < 5; ++i) {
-    trace.ops.push_back(TraceOp{Duration::Zero(), 7, false});
+    trace.Append(TraceOp{Duration::Zero(), 7, false});
   }
   Vm::InvocationResult r = Run(trace);
   EXPECT_EQ(r.elapsed, engine_->costs().anonymous_fault);  // one fault, four free hits
@@ -94,7 +98,7 @@ TEST_F(VmTest, MajorFaultsBlockTheVcpu) {
   space_.Map({.guest = {0, kPages}, .kind = BackingKind::kFile, .file = kMemFile,
               .file_start = 0});
   InvocationTrace trace;
-  trace.ops.push_back(TraceOp{Duration::Zero(), 100, false});
+  trace.Append(TraceOp{Duration::Zero(), 100, false});
   Vm::InvocationResult r = Run(trace);
   EXPECT_GT(r.elapsed, Duration::Micros(50));  // includes the disk read
   EXPECT_EQ(engine_->metrics().count(FaultClass::kMajor), 1);
@@ -103,11 +107,11 @@ TEST_F(VmTest, MajorFaultsBlockTheVcpu) {
 TEST_F(VmTest, ObserverSeesEveryAccessWithClass) {
   space_.Map({.guest = {0, kPages}, .kind = BackingKind::kAnonymous});
   std::vector<std::pair<PageIndex, FaultClass>> seen;
-  vm_->set_access_observer([&](PageIndex p, FaultClass c) { seen.emplace_back(p, c); });
+  engine_->set_access_observer([&](PageIndex p, FaultClass c) { seen.emplace_back(p, c); });
   InvocationTrace trace;
-  trace.ops.push_back(TraceOp{Duration::Zero(), 3, true});
-  trace.ops.push_back(TraceOp{Duration::Zero(), 3, false});
-  trace.ops.push_back(TraceOp{Duration::Zero(), 4, true});
+  trace.Append(TraceOp{Duration::Zero(), 3, true});
+  trace.Append(TraceOp{Duration::Zero(), 3, false});
+  trace.Append(TraceOp{Duration::Zero(), 4, true});
   Run(trace);
   ASSERT_EQ(seen.size(), 3u);
   const auto expected0 = std::make_pair<PageIndex, FaultClass>(3, FaultClass::kAnonymous);
@@ -154,8 +158,8 @@ TEST_F(VmTest, CpuContentionStretchesCompute) {
 TEST_F(VmTest, WrittenPagesExcludeReads) {
   space_.Map({.guest = {0, kPages}, .kind = BackingKind::kAnonymous});
   InvocationTrace trace;
-  trace.ops.push_back(TraceOp{Duration::Zero(), 1, false});
-  trace.ops.push_back(TraceOp{Duration::Zero(), 2, true});
+  trace.Append(TraceOp{Duration::Zero(), 1, false});
+  trace.Append(TraceOp{Duration::Zero(), 2, true});
   Vm::InvocationResult r = Run(trace);
   const PageRangeSet written = trace.WrittenPages(r.access_count);
   EXPECT_FALSE(written.Contains(1));
@@ -174,8 +178,8 @@ TEST_F(VmTest, EventAtTheInstantABurstEndsScalesTheNextBurst) {
   space_.Map({.guest = {0, kPages}, .kind = BackingKind::kAnonymous});
   space_.SetInstallState(PageRange{0, 2}, PageInstallState::kPresent);
   InvocationTrace trace;
-  trace.ops.push_back(TraceOp{Duration::Micros(10), 0, false});
-  trace.ops.push_back(TraceOp{Duration::Micros(10), 1, false});
+  trace.Append(TraceOp{Duration::Micros(10), 0, false});
+  trace.Append(TraceOp{Duration::Micros(10), 1, false});
   trace.trailing_compute = Duration::Micros(10);
   sim_.Schedule(SimTime() + Duration::Micros(20), [&] { one_core.AddRunnable(); });
   Duration elapsed;
@@ -193,7 +197,7 @@ TEST_F(VmTest, FirstStepNeverAdvancesPastItsCaller) {
   Vm vm(&sim_, engine_.get(), &one_core, /*vcpus=*/1);
   space_.Map({.guest = {0, kPages}, .kind = BackingKind::kAnonymous});
   InvocationTrace trace;
-  trace.ops.push_back(TraceOp{Duration::Micros(10), 5, true});
+  trace.Append(TraceOp{Duration::Micros(10), 5, true});
   trace.trailing_compute = Duration::Micros(10);
   Duration elapsed;
   sim_.Schedule(SimTime(), [&] {
@@ -207,11 +211,11 @@ TEST_F(VmTest, FirstStepNeverAdvancesPastItsCaller) {
 TEST_F(VmTest, DoneCanStartTheNextInvocationOnTheSameVm) {
   space_.Map({.guest = {0, kPages}, .kind = BackingKind::kAnonymous});
   InvocationTrace first;
-  first.ops.push_back(TraceOp{Duration::Micros(5), 1, true});
+  first.Append(TraceOp{Duration::Micros(5), 1, true});
   first.trailing_compute = Duration::Micros(3);
   InvocationTrace second;
-  second.ops.push_back(TraceOp{Duration::Micros(4), 2, true});
-  second.ops.push_back(TraceOp{Duration::Zero(), 1, false});
+  second.Append(TraceOp{Duration::Micros(4), 2, true});
+  second.Append(TraceOp{Duration::Zero(), 1, false});
   second.trailing_compute = Duration::Micros(1);
   std::vector<Vm::InvocationResult> results;
   std::vector<SimTime> finished_at;
@@ -247,12 +251,12 @@ TEST_F(VmTest, TerminalReadFailureAbortsThenTheVmRunsAgain) {
   space_.Map({.guest = {1024, 1024}, .kind = BackingKind::kFile, .file = kMemFile,
               .file_start = 0});
   std::vector<PageIndex> observed;
-  vm_->set_access_observer([&](PageIndex p, FaultClass) { observed.push_back(p); });
+  engine_->set_access_observer([&](PageIndex p, FaultClass) { observed.push_back(p); });
 
   InvocationTrace doomed;
-  doomed.ops.push_back(TraceOp{Duration::Micros(2), 3, true});
-  doomed.ops.push_back(TraceOp{Duration::Micros(2), 1500, false});  // major: read fails
-  doomed.ops.push_back(TraceOp{Duration::Micros(2), 4, true});
+  doomed.Append(TraceOp{Duration::Micros(2), 3, true});
+  doomed.Append(TraceOp{Duration::Micros(2), 1500, false});  // major: read fails
+  doomed.Append(TraceOp{Duration::Micros(2), 4, true});
   doomed.trailing_compute = Duration::Micros(2);
   Vm::InvocationResult aborted = Run(doomed);
   EXPECT_FALSE(aborted.status.ok());
@@ -264,8 +268,8 @@ TEST_F(VmTest, TerminalReadFailureAbortsThenTheVmRunsAgain) {
   EXPECT_EQ(cpu_.runnable(), 0);
 
   InvocationTrace healthy;
-  healthy.ops.push_back(TraceOp{Duration::Micros(2), 5, true});
-  healthy.ops.push_back(TraceOp{Duration::Micros(2), 6, false});
+  healthy.Append(TraceOp{Duration::Micros(2), 5, true});
+  healthy.Append(TraceOp{Duration::Micros(2), 6, false});
   healthy.trailing_compute = Duration::Micros(2);
   Vm::InvocationResult ok = Run(healthy);
   EXPECT_TRUE(ok.status.ok());
@@ -274,31 +278,93 @@ TEST_F(VmTest, TerminalReadFailureAbortsThenTheVmRunsAgain) {
   EXPECT_EQ(observed, (std::vector<PageIndex>{3, 5, 6}));
 }
 
-// ---- fast-forward: differential property ----
+TEST_F(VmTest, FailureInsideARunCountsThePagesBegun) {
+  ChaosConfig chaos;
+  chaos.enabled = true;
+  chaos.read_error_rate = 1.0;
+  FaultInjector injector(&sim_, chaos);
+  disk_.set_fault_injector(&injector, /*device_ordinal=*/0);
+  space_.Map({.guest = {0, 1024}, .kind = BackingKind::kAnonymous});
+  space_.Map({.guest = {1024, 1024}, .kind = BackingKind::kFile, .file = kMemFile,
+              .file_start = 0});
+  // One run of writes: four anonymous pages, then a major fault whose read
+  // fails, then three pages the guest never reaches.
+  InvocationTrace trace;
+  trace.Append(1020, 8, Duration::Micros(1), /*is_write=*/true);
+  ASSERT_EQ(trace.runs.size(), 1u);
+  Vm::InvocationResult r = Run(trace);
+  EXPECT_FALSE(r.status.ok());
+  EXPECT_EQ(r.access_count, 5u);
+  EXPECT_EQ(trace.WrittenPages(r.access_count), PageRangeSet({PageRange{1020, 5}}));
+  EXPECT_EQ(engine_->metrics().count(FaultClass::kAnonymous), 4);
+  EXPECT_EQ(cpu_.runnable(), 0);
+}
+
+// ---- fast-forward and run-granular execution: differential property ----
 //
-// Fast-forward must be invisible: the same trace run alone, beside unrelated
-// events that bound it at random points, beside a 1 ns ticker that blocks every
-// fast-forward, and under RunUntil epochs must give identical results.
+// Both must be invisible. Each scenario's trace runs as maximal runs, cut at
+// random points, and as one-page runs, and each cut runs alone, beside
+// unrelated events that bound it at random points, beside a 1 ns ticker that
+// blocks every fast-forward, and under RunUntil epochs: all twelve must give
+// identical results. The world also changes under the guest at fixed times (a
+// remap, a page-cache drop, a CPU load step), so a lookup or a load factor
+// kept past the event that built it changes the outcome; the observer checks
+// each fixed-cost class against the world at its retire.
 
 constexpr PageIndex kAnonPages = 1024;        // [0, 1024): anonymous
 constexpr PageIndex kFileFirst = kAnonPages;  // [1024, 3072): the memory file
 constexpr PageIndex kFilePages = 2048;
+constexpr PageIndex kMappedEnd = kFileFirst + kFilePages;
 constexpr PageIndex kHugeAnonRegion = 512;    // 2 MiB-aligned, inside the anon map
 constexpr PageIndex kHugeFileRegion = 2048;   // 2 MiB-aligned, inside the file map
+// A second file mapped over part of the anonymous zone, fully cached until it
+// is dropped mid-run.
+constexpr FileId kSideFile = 2;
+constexpr PageRange kSideRange{128, 128};
+// Guest pages registered with a pread monitor on odd seeds.
+constexpr PageRange kUffdRange{2816, 256};
+// Longer than any fixed-cost fault takes to retire: a class observed this long
+// after the last world change was classified in the world the observer sees.
+constexpr Duration kSettle = Duration::Micros(60);
+
+// REAP's monitor without a working set: each fault preads its page through
+// the page cache.
+class PreadMonitor : public UffdHandler {
+ public:
+  explicit PreadMonitor(FaultEngine* engine) : engine_(engine) {}
+
+  void HandleFault(PageIndex guest_page, std::function<void(const Status&)> done) override {
+    engine_->EnsureFilePage(kMemFile, guest_page - kFileFirst, /*charge_to_faults=*/true,
+                            [done = std::move(done)](const Status& status,
+                                                     PageCache::PageState) { done(status); });
+  }
+
+ private:
+  FaultEngine* engine_;
+};
 
 struct Scenario {
-  InvocationTrace trace;
+  InvocationTrace trace;                // maximal runs
   std::vector<PageRange> cached;        // memory-file pages already in the page cache
   std::vector<PageRange> soft_present;  // guest pages preinstalled by UFFDIO_COPY
   bool huge_lever = false;
+  bool uffd = false;
   int cores = 96;
+  // World changes, at fixed times in every run.
+  SimTime remap_at;  // `remap`, inside the file map, becomes anonymous
+  PageRange remap;
+  SimTime drop_at;  // the side file leaves the page cache
+  SimTime load_at;  // two more runnable threads until unload_at
+  SimTime unload_at;
 };
 
 Scenario MakeScenario(uint64_t seed) {
   Rng rng(seed * 0x9E3779B97F4A7C15ULL + 17);
   Scenario sc;
   sc.huge_lever = seed % 3 == 0;
-  sc.cores = seed % 2 == 0 ? 1 : 96;  // 1 core: every burst scales by 2
+  sc.uffd = seed % 2 == 1;
+  const int cores[] = {1, 2, 96};  // 1 and 2 cores: bursts scale, and the load step shows
+  sc.cores = cores[(seed / 2) % 3];
   for (int i = 0; i < 6; ++i) {
     const PageIndex first = static_cast<PageIndex>(rng.NextBelow(kFilePages - 64));
     sc.cached.push_back(PageRange{first, 1 + rng.NextBelow(64)});
@@ -308,41 +374,78 @@ Scenario MakeScenario(uint64_t seed) {
     sc.cached.push_back(PageRange{kHugeFileRegion - kFileFirst, 512});
   }
   for (int i = 0; i < 4; ++i) {
-    const PageIndex first = static_cast<PageIndex>(rng.NextBelow(kAnonPages + kFilePages - 32));
+    const PageIndex first = static_cast<PageIndex>(rng.NextBelow(kMappedEnd - 32));
     if (first < kHugeAnonRegion + 512 && first + 32 > kHugeAnonRegion) {
       continue;  // keep the huge anon region whole (fully not-present)
     }
     sc.soft_present.push_back(PageRange{first, 1 + rng.NextBelow(32)});
   }
-  const uint64_t ops = 100 + rng.NextBelow(201);
+  sc.remap = PageRange{kFileFirst + rng.NextBelow(kFilePages - 64), 64};
+  sc.remap_at = SimTime() + Duration::Micros(static_cast<int64_t>(20 + rng.NextBelow(400)));
+  sc.drop_at = SimTime() + Duration::Micros(static_cast<int64_t>(20 + rng.NextBelow(400)));
+  sc.load_at = SimTime() + Duration::Micros(static_cast<int64_t>(10 + rng.NextBelow(300)));
+  sc.unload_at = sc.load_at + Duration::Micros(static_cast<int64_t>(10 + rng.NextBelow(300)));
+
+  const uint64_t runs = 24 + rng.NextBelow(25);
   std::vector<PageIndex> touched;
-  for (uint64_t i = 0; i < ops; ++i) {
-    TraceOp op;
+  for (uint64_t i = 0; i < runs; ++i) {
+    Duration compute;
     if (rng.NextBelow(2) == 0) {
-      op.compute = Duration::Nanos(static_cast<int64_t>(1 + rng.NextBelow(3000)));
+      compute = Duration::Nanos(static_cast<int64_t>(1 + rng.NextBelow(2000)));
     }
-    op.is_write = rng.NextBelow(3) == 0;
-    const uint64_t kind = rng.NextBelow(10);
+    const bool is_write = rng.NextBelow(3) == 0;
+    uint64_t pages = 1 + rng.NextBelow(rng.NextBelow(4) == 0 ? 32 : 8);
+    PageIndex first = 0;
+    const uint64_t kind = rng.NextBelow(12);
     if (kind < 2 && !touched.empty()) {
-      op.page = touched[rng.NextBelow(touched.size())];  // repeat: no fault
+      first = touched[rng.NextBelow(touched.size())];  // repeats: mostly no fault
+    } else if (kind < 4) {
+      first = rng.NextBelow(kAnonPages);
     } else if (kind < 5) {
-      op.page = static_cast<PageIndex>(rng.NextBelow(kAnonPages));
+      first = kFileFirst - 1 - rng.NextBelow(pages);  // across the anon/file map boundary
     } else if (kind < 7 && !sc.soft_present.empty()) {
       const PageRange r = sc.soft_present[rng.NextBelow(sc.soft_present.size())];
-      op.page = r.first + rng.NextBelow(r.count);
+      first = r.first + rng.NextBelow(r.count);  // may run past the soft-present stretch
     } else if (kind < 9 && !sc.cached.empty()) {
       const PageRange r = sc.cached[rng.NextBelow(sc.cached.size())];
-      op.page = kFileFirst + r.first + rng.NextBelow(r.count);  // minor
+      first = kFileFirst + r.first + rng.NextBelow(r.count);  // minor, then maybe not
+    } else if (kind < 10) {
+      first = kSideRange.first + rng.NextBelow(kSideRange.count);
+    } else if (kind < 11) {
+      first = kUffdRange.first + rng.NextBelow(kUffdRange.count);
     } else {
-      op.page = kFileFirst + static_cast<PageIndex>(rng.NextBelow(kFilePages));
+      first = kFileFirst + rng.NextBelow(kFilePages);
     }
-    touched.push_back(op.page);
-    sc.trace.ops.push_back(op);
+    pages = std::min(pages, kMappedEnd - first);
+    sc.trace.Append(first, pages, compute, is_write);
+    touched.push_back(first);
   }
   if (rng.NextBelow(2) == 0) {
     sc.trace.trailing_compute = Duration::Nanos(static_cast<int64_t>(1 + rng.NextBelow(5000)));
   }
   return sc;
+}
+
+enum class Cut { kMaximal, kRandom, kSinglePages };
+
+// The same accesses as `trace`, cut into runs at random points or page by page.
+InvocationTrace CutRuns(const InvocationTrace& trace, Cut cut, uint64_t seed) {
+  if (cut == Cut::kMaximal) {
+    return trace;
+  }
+  Rng rng(seed ^ 0xC07C07);
+  InvocationTrace out;
+  out.trailing_compute = trace.trailing_compute;
+  out.freed_at_end = trace.freed_at_end;
+  for (const TraceRun& run : trace.runs) {
+    for (PageIndex first = run.first; first < run.end();) {
+      const auto pages = static_cast<uint32_t>(
+          cut == Cut::kSinglePages ? 1 : 1 + rng.NextBelow(run.end() - first));
+      out.runs.push_back(TraceRun{first, pages, run.is_write, run.compute});
+      first += pages;
+    }
+  }
+  return out;
 }
 
 // A fast device: the 1 ns ticker costs one event per simulated nanosecond, so
@@ -368,6 +471,9 @@ struct World {
     space.Map({.guest = {0, kAnonPages}, .kind = BackingKind::kAnonymous});
     space.Map({.guest = {kFileFirst, kFilePages}, .kind = BackingKind::kFile, .file = kMemFile,
                .file_start = 0});
+    space.Map({.guest = kSideRange, .kind = BackingKind::kFile, .file = kSideFile,
+               .file_start = 0});
+    cache.Insert(kSideFile, PageRange{0, kSideRange.count});
     if (sc.huge_lever) {
       FaultPathConfig fault_path;
       fault_path.huge_pages = true;
@@ -376,6 +482,14 @@ struct World {
       space.MarkHugeEligible(kHugeAnonRegion);
       space.MarkHugeEligible(kHugeFileRegion);
     }
+    if (sc.uffd) {
+      // A short vCPU-block stall keeps the 1 ns ticker's runs cheap.
+      engine->set_uffd_vcpu_block_extra(Duration::Micros(1));
+      monitor = std::make_unique<PreadMonitor>(engine.get());
+      PageRangeSet region;
+      region.Add(kUffdRange);
+      engine->RegisterUffd(std::move(region), monitor.get());
+    }
     for (const PageRange& r : sc.cached) {
       cache.Insert(kMemFile, r);
     }
@@ -383,6 +497,40 @@ struct World {
       space.SetInstallState(r, PageInstallState::kSoftPresent);
     }
     vm = std::make_unique<Vm>(&sim, engine.get(), &cpu, /*vcpus=*/2);
+    sim.Schedule(sc.remap_at, [this, &sc] {
+      space.Map({.guest = sc.remap, .kind = BackingKind::kAnonymous});
+    });
+    sim.Schedule(sc.drop_at, [this] { cache.DropFile(kSideFile); });
+    sim.Schedule(sc.load_at, [this] {
+      cpu.AddRunnable();
+      cpu.AddRunnable();
+    });
+    sim.Schedule(sc.unload_at, [this] {
+      cpu.RemoveRunnable();
+      cpu.RemoveRunnable();
+    });
+  }
+
+  // True unless a world change fell within kSettle before `t`.
+  static bool Settled(const Scenario& sc, SimTime t) {
+    for (const SimTime change : {sc.remap_at, sc.drop_at, sc.load_at, sc.unload_at}) {
+      if (change <= t && t < change + kSettle) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // A fixed-cost class must match the mapping and the page cache it was
+  // classified under: a lookup kept past a remap or a drop breaks this.
+  void ExpectClassMatchesWorld(PageIndex page, FaultClass cls) const {
+    const PageBacking backing = space.Resolve(page);
+    if (cls == FaultClass::kAnonymous) {
+      EXPECT_EQ(backing.kind, BackingKind::kAnonymous) << "page " << page;
+    } else if (cls == FaultClass::kMinor) {
+      EXPECT_EQ(backing.kind, BackingKind::kFile) << "page " << page;
+      EXPECT_TRUE(cache.IsPresent(backing.file, backing.file_page)) << "page " << page;
+    }
   }
 
   Simulation sim;
@@ -393,6 +541,7 @@ struct World {
   CpuModel cpu;
   ReadaheadPolicy readahead;
   std::unique_ptr<FaultEngine> engine;
+  std::unique_ptr<PreadMonitor> monitor;
   std::unique_ptr<Vm> vm;
 };
 
@@ -406,15 +555,19 @@ struct Outcome {
   uint64_t events = 0;  // fired, not counting the ticker's
 };
 
-Outcome RunScenario(const Scenario& sc, RunMode mode, uint64_t seed) {
+Outcome RunScenario(const Scenario& sc, const InvocationTrace& trace, RunMode mode,
+                    uint64_t seed) {
   World w(sc);
   Outcome out;
   SimTime deadline;
   bool finished = false;
-  w.vm->set_access_observer([&](PageIndex page, FaultClass cls) {
+  w.engine->set_access_observer([&](PageIndex page, FaultClass cls) {
     out.observed.emplace_back(page, cls, w.sim.now().nanos());
     if (mode == RunMode::kEpochs) {
       EXPECT_LE(w.sim.now().nanos(), deadline.nanos()) << "observer ran past the epoch deadline";
+    }
+    if (World::Settled(sc, w.sim.now())) {
+      w.ExpectClassMatchesWorld(page, cls);
     }
   });
   uint64_t ticks = 0;
@@ -426,12 +579,12 @@ Outcome RunScenario(const Scenario& sc, RunMode mode, uint64_t seed) {
     }
     const int64_t gap =
         mode == RunMode::kEveryNanosecond ? 1 : static_cast<int64_t>(1 + gaps.NextBelow(2000));
-    w.sim.ScheduleAfter(Duration::Nanos(gap), tick);
+    w.sim.ScheduleAfter(Duration::Nanos(gap), [&tick] { tick(); });  // no copy per tick
   };
   if (mode == RunMode::kRandomTicker || mode == RunMode::kEveryNanosecond) {
-    w.sim.ScheduleAfter(Duration::Nanos(1), tick);
+    w.sim.ScheduleAfter(Duration::Nanos(1), [&tick] { tick(); });
   }
-  w.vm->RunInvocation(sc.trace, [&](Vm::InvocationResult r) {
+  w.vm->RunInvocation(trace, [&](Vm::InvocationResult r) {
     out.elapsed = r.elapsed;
     out.access_count = r.access_count;
     EXPECT_TRUE(r.status.ok());
@@ -444,7 +597,7 @@ Outcome RunScenario(const Scenario& sc, RunMode mode, uint64_t seed) {
       EXPECT_EQ(w.sim.now().nanos(), deadline.nanos());
     }
   }
-  w.sim.Run();  // drains trailing readahead
+  w.sim.Run();  // drains trailing readahead and the world changes
   EXPECT_TRUE(finished);
   out.metrics = w.engine->metrics();
   out.events = w.sim.processed_events() - ticks;
@@ -465,24 +618,37 @@ void ExpectSameMetrics(const FaultMetrics& a, const FaultMetrics& b) {
   EXPECT_EQ(a.latency_histogram.ToString(), b.latency_histogram.ToString());
 }
 
-TEST(VmFastForwardProperty, InvisibleUnderEveryRunMode) {
+TEST(VmFastForwardProperty, InvisibleUnderEveryCutAndRunMode) {
   uint64_t alone_events = 0;
   uint64_t blocked_events = 0;
+  uint64_t multi_page_runs = 0;
   int64_t fault_classes_seen[static_cast<int>(FaultClass::kClassCount)] = {};
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const Scenario sc = MakeScenario(seed);
-    const Outcome alone = RunScenario(sc, RunMode::kAlone, seed);
-    for (const RunMode mode :
-         {RunMode::kRandomTicker, RunMode::kEveryNanosecond, RunMode::kEpochs}) {
-      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
-      const Outcome other = RunScenario(sc, mode, seed);
-      ASSERT_EQ(alone.observed, other.observed);
-      EXPECT_EQ(alone.elapsed, other.elapsed);
-      EXPECT_EQ(alone.access_count, other.access_count);
-      ExpectSameMetrics(alone.metrics, other.metrics);
-      if (mode == RunMode::kEveryNanosecond) {
-        blocked_events += other.events;
+    for (const TraceRun& run : sc.trace.runs) {
+      multi_page_runs += run.pages > 1 ? 1 : 0;
+    }
+    const Outcome alone = RunScenario(sc, sc.trace, RunMode::kAlone, seed);
+    EXPECT_EQ(alone.access_count, sc.trace.access_count());
+    for (const Cut cut : {Cut::kMaximal, Cut::kRandom, Cut::kSinglePages}) {
+      SCOPED_TRACE("cut " + std::to_string(static_cast<int>(cut)));
+      const InvocationTrace trace = CutRuns(sc.trace, cut, seed);
+      ASSERT_EQ(trace.ExpandedOps(), sc.trace.ExpandedOps());
+      for (const RunMode mode : {RunMode::kAlone, RunMode::kRandomTicker,
+                                 RunMode::kEveryNanosecond, RunMode::kEpochs}) {
+        if (cut == Cut::kMaximal && mode == RunMode::kAlone) {
+          continue;  // the reference itself
+        }
+        SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+        const Outcome other = RunScenario(sc, trace, mode, seed);
+        ASSERT_EQ(alone.observed, other.observed);
+        EXPECT_EQ(alone.elapsed, other.elapsed);
+        EXPECT_EQ(alone.access_count, other.access_count);
+        ExpectSameMetrics(alone.metrics, other.metrics);
+        if (cut == Cut::kMaximal && mode == RunMode::kEveryNanosecond) {
+          blocked_events += other.events;
+        }
       }
     }
     alone_events += alone.events;
@@ -490,12 +656,13 @@ TEST(VmFastForwardProperty, InvisibleUnderEveryRunMode) {
       fault_classes_seen[c] += alone.metrics.counts[c];
     }
   }
-  // The generator reaches every class the Vm can meet here.
+  // The generator reaches every class the Vm can meet here, in multi-page runs.
   for (const FaultClass c : {FaultClass::kNoFault, FaultClass::kAnonymous, FaultClass::kMinor,
                              FaultClass::kMajor, FaultClass::kUffdPreinstalled,
-                             FaultClass::kHugeInstall}) {
+                             FaultClass::kUffdHandled, FaultClass::kHugeInstall}) {
     EXPECT_GT(fault_classes_seen[static_cast<int>(c)], 0) << FaultClassName(c);
   }
+  EXPECT_GT(multi_page_runs, 24u * 12);
   // With nothing to bound it, the lone run fast-forwards most of its work; the
   // 1 ns ticker forces every burst and fault back onto the event queue.
   EXPECT_GT(blocked_events, 3 * alone_events);
@@ -503,9 +670,9 @@ TEST(VmFastForwardProperty, InvisibleUnderEveryRunMode) {
 
 TEST(GuestLayoutInVmTest, TraceHelpers) {
   InvocationTrace trace;
-  trace.ops.push_back(TraceOp{Duration::Micros(5), 10, false});
-  trace.ops.push_back(TraceOp{Duration::Micros(5), 11, false});
-  trace.ops.push_back(TraceOp{Duration::Zero(), 10, true});
+  trace.Append(TraceOp{Duration::Micros(5), 10, false});
+  trace.Append(TraceOp{Duration::Micros(5), 11, false});
+  trace.Append(TraceOp{Duration::Zero(), 10, true});
   trace.trailing_compute = Duration::Micros(10);
   EXPECT_EQ(trace.access_count(), 3u);
   EXPECT_EQ(trace.TouchedPages().page_count(), 2u);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "src/common/units.h"
 
 namespace faasnap {
@@ -20,11 +24,11 @@ TEST(TraceGenerator, HelloWorldTouchesOnlyStablePages) {
   InvocationTrace trace = gen.Generate(MakeInputA(gen.spec()));
   // Coverage is approximate: always-exercised pages plus this input's code paths
   // sum to roughly the spec's stable page count.
-  EXPECT_NEAR(static_cast<double>(trace.ops.size()),
+  EXPECT_NEAR(static_cast<double>(trace.access_count()),
               static_cast<double>(gen.spec().stable_pages.value()),
               static_cast<double>(gen.spec().stable_pages.value()) * 0.06);
   PageRangeSet touched = trace.TouchedPages();
-  EXPECT_EQ(touched.page_count(), trace.ops.size());
+  EXPECT_EQ(touched.page_count(), trace.access_count());
   for (const PageRange& r : touched.ranges()) {
     EXPECT_GE(r.first, Layout().stable.first);
     EXPECT_LT(r.end(), Layout().stable.end());
@@ -38,18 +42,21 @@ TEST(TraceGenerator, StableAccessOrderIsDeterministic) {
   TraceGenerator gen = MakeGenerator("hello-world");
   InvocationTrace t1 = gen.Generate(MakeInputA(gen.spec()));
   InvocationTrace t2 = gen.Generate(MakeInputB(gen.spec()));
-  ASSERT_EQ(t1.ops.size(), t2.ops.size());
-  for (size_t i = 0; i < t1.ops.size(); ++i) {
-    EXPECT_EQ(t1.ops[i].page, t2.ops[i].page);
+  const std::vector<TraceOp> ops1 = t1.ExpandedOps();
+  const std::vector<TraceOp> ops2 = t2.ExpandedOps();
+  ASSERT_EQ(ops1.size(), ops2.size());
+  for (size_t i = 0; i < ops1.size(); ++i) {
+    EXPECT_EQ(ops1[i].page, ops2[i].page);
   }
 }
 
 TEST(TraceGenerator, ScatteredSegmentIsNotSequential) {
   TraceGenerator gen = MakeGenerator("hello-world");
   InvocationTrace trace = gen.Generate(MakeInputA(gen.spec()));
+  const std::vector<TraceOp> ops = trace.ExpandedOps();
   int sequential_steps = 0;
   for (size_t i = 1; i < 1000; ++i) {
-    if (trace.ops[i].page == trace.ops[i - 1].page + 1) {
+    if (ops[i].page == ops[i - 1].page + 1) {
       ++sequential_steps;
     }
   }
@@ -61,11 +68,12 @@ TEST(TraceGenerator, ReadListHasLargeSequentialSegment) {
   InvocationTrace trace = gen.Generate(MakeInputA(gen.spec()));
   // The list (the sequential segment) is read in address order at the end of the
   // stable phase; locate it by the sequential segment's first page.
+  const std::vector<TraceOp> ops = trace.ExpandedOps();
   const uint64_t seq_pages = gen.sequential_stable().count;
-  const size_t start = trace.ops.size() - seq_pages;
-  EXPECT_EQ(trace.ops[start].page, gen.sequential_stable().first);
+  const size_t start = ops.size() - seq_pages;
+  EXPECT_EQ(ops[start].page, gen.sequential_stable().first);
   for (size_t i = start + 1; i < start + 1000; ++i) {
-    EXPECT_EQ(trace.ops[i].page, trace.ops[i - 1].page + 1);
+    EXPECT_EQ(ops[i].page, ops[i - 1].page + 1);
   }
 }
 
@@ -74,7 +82,8 @@ TEST(TraceGenerator, MmapWritesScratchSequentiallyAndFreesIt) {
   InvocationTrace trace = gen.Generate(MakeInputA(gen.spec()));
   const uint64_t anon = gen.spec().input_a.anon_pages.value();
   // The anon sweep is sequential writes in the scratch zone, after the stable phase.
-  const TraceOp& first_anon = trace.ops[trace.ops.size() - anon];
+  const std::vector<TraceOp> ops = trace.ExpandedOps();
+  const TraceOp& first_anon = ops[ops.size() - anon];
   EXPECT_EQ(first_anon.page, Layout().scratch.first);
   EXPECT_TRUE(first_anon.is_write);
   EXPECT_EQ(trace.freed_at_end.page_count(), anon);
@@ -121,10 +130,10 @@ TEST(TraceGenerator, ScaledInputGrowsWindowBeyondRecordCoverage) {
   // The 4x input touches pages beyond the 1x window entirely.
   PageIndex max_small = 0;
   PageIndex max_big = 0;
-  for (const TraceOp& op : small.ops) {
+  for (const TraceOp& op : small.ExpandedOps()) {
     max_small = std::max(max_small, op.page);
   }
-  for (const TraceOp& op : big.ops) {
+  for (const TraceOp& op : big.ExpandedOps()) {
     max_big = std::max(max_big, op.page);
   }
   EXPECT_GT(max_big, max_small + 10000);
@@ -231,10 +240,144 @@ TEST(TraceGenerator, ComputeIsSpreadAcrossOps) {
   InvocationTrace trace = gen.Generate(MakeInputA(gen.spec()));
   EXPECT_EQ(trace.TotalCompute(), gen.spec().input_a.compute);
   // First op carries roughly total/ops.
-  EXPECT_NEAR(static_cast<double>(trace.ops[0].compute.nanos()),
+  const std::vector<TraceOp> ops = trace.ExpandedOps();
+  EXPECT_NEAR(static_cast<double>(ops[0].compute.nanos()),
               static_cast<double>(gen.spec().input_a.compute.nanos()) /
-                  static_cast<double>(trace.ops.size()),
+                  static_cast<double>(ops.size()),
               1.0);
+}
+
+// ---- run-length traces: equivalence with the one-op-per-page generator ----
+
+// FNV-1a over the expanded (page, write, compute) sequence, the trailing
+// compute and the freed set: independent of how the trace is cut into runs.
+uint64_t ExpandedDigest(const InvocationTrace& trace) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const TraceOp& op : trace.ExpandedOps()) {
+    mix(op.page);
+    mix(op.is_write ? 1 : 0);
+    mix(static_cast<uint64_t>(op.compute.nanos()));
+  }
+  mix(static_cast<uint64_t>(trace.trailing_compute.nanos()));
+  for (const PageRange& r : trace.freed_at_end.ranges()) {
+    mix(r.first);
+    mix(r.count);
+  }
+  return h;
+}
+
+struct TracePin {
+  const char* function;
+  int input;  // 0: input A, 1: input B, 2: MakeScaledInput(spec, 2.0, 0x7E57)
+  uint64_t digest;
+  uint64_t accesses;
+};
+
+// Recorded from the generator that emitted one op per page access, before
+// traces became runs. Any change here moves every simulated result.
+constexpr TracePin kTracePins[] = {
+    {"hello-world", 0, 0x6638c2655a6d24ffULL, 3030},
+    {"hello-world", 1, 0x6638c2655a6d24ffULL, 3030},
+    {"hello-world", 2, 0x865b6369bac13e8cULL, 3023},
+    {"read-list", 0, 0x453cc23578701e62ULL, 134640},
+    {"read-list", 1, 0x453cc23578701e62ULL, 134640},
+    {"read-list", 2, 0x0059c2bb6f10c239ULL, 134660},
+    {"mmap", 0, 0xe8e0489f6aeedb05ULL, 137206},
+    {"mmap", 1, 0xe8e0489f6aeedb05ULL, 137206},
+    {"mmap", 2, 0xd85255aa18ea6fd1ULL, 184311},
+    {"image", 0, 0xe8582e0db62a074dULL, 5275},
+    {"image", 1, 0xb0fc8d91b26e3038ULL, 8438},
+    {"image", 2, 0x301f71773898b014ULL, 7466},
+    {"json", 0, 0x65bdff22fe9ef8f0ULL, 3234},
+    {"json", 1, 0xb60d4d0bb6d26fcdULL, 3680},
+    {"json", 2, 0xf01c82fd11d3c47eULL, 3604},
+    {"pyaes", 0, 0x312329e8c0230d8aULL, 3227},
+    {"pyaes", 1, 0x3a45dc9447593fa0ULL, 3372},
+    {"pyaes", 2, 0xd5a701187ecb330eULL, 3324},
+    {"chameleon", 0, 0xbed92a022199c060ULL, 5862},
+    {"chameleon", 1, 0xc9dd7221790520a1ULL, 6404},
+    {"chameleon", 2, 0xf6e89ff1e85d9e3aULL, 8231},
+    {"matmul", 0, 0x8d05aee29db255feULL, 28933},
+    {"matmul", 1, 0x2356ceccb8a54bcfULL, 34042},
+    {"matmul", 2, 0x7bce2e0153f61ee3ULL, 54056},
+    {"ffmpeg", 0, 0x21f0c878948aa514ULL, 45848},
+    {"ffmpeg", 1, 0x4fc9dcf5f6ad859eULL, 45552},
+    {"ffmpeg", 2, 0xf4eddb8b7a297613ULL, 87656},
+    {"compression", 0, 0xdb087e6ec5804c5aULL, 3946},
+    {"compression", 1, 0xdb46442e75101aaaULL, 4046},
+    {"compression", 2, 0xb0e3b34e77b6181cULL, 4526},
+    {"recognition", 0, 0xd648d1994cc07552ULL, 58860},
+    {"recognition", 1, 0xc1b42e2b915e12f7ULL, 59891},
+    {"recognition", 2, 0xfd7cbcf5dfc669d2ULL, 61695},
+    {"pagerank", 0, 0x94b5046256f7a209ULL, 26616},
+    {"pagerank", 1, 0x41bd408367f0a590ULL, 29132},
+    {"pagerank", 2, 0xf684db214784b0f2ULL, 49492},
+};
+
+TEST(TraceGenerator, RunTracesExpandToThePinnedPerPageTraces) {
+  for (const TracePin& pin : kTracePins) {
+    SCOPED_TRACE(std::string(pin.function) + " input " + std::to_string(pin.input));
+    const TraceGenerator gen = MakeGenerator(pin.function);
+    const WorkloadInput inputs[] = {MakeInputA(gen.spec()), MakeInputB(gen.spec()),
+                                    MakeScaledInput(gen.spec(), 2.0, 0x7E57)};
+    const InvocationTrace trace = gen.Generate(inputs[pin.input]);
+    EXPECT_EQ(ExpandedDigest(trace), pin.digest);
+    EXPECT_EQ(trace.access_count(), pin.accesses);
+    // Maximal runs: no run continues the one before it.
+    for (size_t i = 1; i < trace.runs.size(); ++i) {
+      const TraceRun& prev = trace.runs[i - 1];
+      const TraceRun& run = trace.runs[i];
+      EXPECT_FALSE(run.first == prev.end() && run.is_write == prev.is_write &&
+                   run.compute == prev.compute)
+          << "run " << i;
+      ASSERT_GT(run.pages, 0u);
+    }
+  }
+  EXPECT_EQ(std::size(kTracePins), FunctionCatalog().size() * 3);
+}
+
+TEST(InvocationTrace, HelpersMatchTheExpandedTrace) {
+  // Runs cut at arbitrary points, including a repeated page and a run that
+  // continues its predecessor without being merged.
+  InvocationTrace trace;
+  trace.runs = {TraceRun{10, 4, false, Duration::Micros(1)},
+                TraceRun{14, 2, true, Duration::Micros(1)},
+                TraceRun{16, 3, true, Duration::Micros(1)},
+                TraceRun{11, 1, true, Duration::Zero()},
+                TraceRun{40, 5, false, Duration::Micros(2)}};
+  trace.trailing_compute = Duration::Micros(3);
+  const std::vector<TraceOp> ops = trace.ExpandedOps();
+  ASSERT_EQ(ops.size(), trace.access_count());
+  PageRangeSet touched;
+  Duration compute = trace.trailing_compute;
+  for (const TraceOp& op : ops) {
+    touched.AddPage(op.page);
+    compute += op.compute;
+  }
+  EXPECT_EQ(trace.TouchedPages(), touched);
+  EXPECT_EQ(trace.TotalCompute(), compute);
+  for (uint64_t executed = 0; executed <= ops.size(); ++executed) {
+    PageRangeSet written;
+    for (uint64_t i = 0; i < executed; ++i) {
+      if (ops[i].is_write) {
+        written.AddPage(ops[i].page);
+      }
+    }
+    EXPECT_EQ(trace.WrittenPages(executed), written) << executed;
+  }
+  // Append merges only what continues the last run.
+  InvocationTrace appended;
+  for (const TraceOp& op : ops) {
+    appended.Append(op);
+  }
+  EXPECT_EQ(appended.ExpandedOps(), ops);
+  EXPECT_EQ(appended.runs.size(), 4u);  // [10,14) r, [14,19) w, [11] w, [40,45) r
 }
 
 // Property sweep: for every catalog function, traces stay inside the guest, touch
@@ -252,7 +395,7 @@ TEST_P(TraceGeneratorCatalogTest, TraceInvariants) {
     const double tolerance = static_cast<double>(expected_ws) * 0.1;
     EXPECT_NEAR(static_cast<double>(trace.TouchedPages().page_count()),
                 static_cast<double>(expected_ws), tolerance);
-    for (const TraceOp& op : trace.ops) {
+    for (const TraceOp& op : trace.ExpandedOps()) {
       ASSERT_LT(op.page, Layout().total_pages.value());
     }
     // Freed pages live only in the scratch zone (what munmap returns to the
