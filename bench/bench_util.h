@@ -2,12 +2,13 @@
 //
 // Each driver reproduces one table, ablation or extension that a restore
 // matrix cannot express: a fault-latency distribution (fig02), record-only
-// tables (tab01, tab02, ext_storage_cost), knob sweeps and snapshot surgery
-// (abl_*), snapshot placement (ext_tiered_storage) and serving loops. It runs
-// the record phase, then the test phase with caches dropped between tests
-// (section 6.1), and prints its own rows. Figures 1, 6, 7, 8, 9, 10 and 11,
-// Table 3 and the section 7.3 footprint are restore matrices: they run as
-// configs/*.json through examples/artifact_runner, and
+// tables (tab01, tab02, ext_storage_cost), snapshot surgery
+// (abl_host_page_recording), snapshot placement (ext_tiered_storage) and
+// serving loops. It runs the record phase, then the test phase with caches
+// dropped between tests (section 6.1), and prints its own rows. Figures 1, 6,
+// 7, 8, 9, 10 and 11, Table 3, the section 7.3 footprint and the platform-knob
+// sweeps (sections 4.3 and 4.6, the fault-path levers) are restore matrices:
+// they run as configs/*.json through examples/artifact_runner, and
 // tests/paper_shapes_test.cc checks their shapes.
 
 #ifndef FAASNAP_BENCH_BENCH_UTIL_H_

@@ -12,12 +12,17 @@
 //   ./build/examples/artifact_runner configs/test-burst.json            # E3, Fig 10
 //   ./build/examples/artifact_runner configs/test-burst-distinct.json   # Fig 10
 //   ./build/examples/artifact_runner configs/test-remote.json           # E4, Fig 11
+//   ./build/examples/artifact_runner configs/test-group-size.json       # 4.3, N sweep
+//   ./build/examples/artifact_runner configs/test-merge-gap.json        # 4.6, gap sweep
+//   ./build/examples/artifact_runner configs/test-faultpath.json        # 7.1, levers
+//   ./build/examples/artifact_runner configs/test-faultpath-burst.json  # 7.1, coalescing
 //   ./build/examples/artifact_runner --json configs/test-2inputs.json   # machine-readable
 //   ./build/examples/artifact_runner configs/test-cluster.json          # sharded cluster
 //
 // A restore matrix prints a results table (or, with --json, one JSON object
 // per cell that adds the fetch, page-fault, block-request and footprint means
-// Figure 9, Table 3 and section 7.3 read); a cluster scenario prints its
+// Figure 9, Table 3 and section 7.3 read, and the loading-set, mmap and
+// fault-path lever means the sweeps read); a cluster scenario prints its
 // ClusterStats summary document.
 //
 // --trace-out=PATH / --metrics-out=PATH / --timeline-out=PATH /
@@ -93,10 +98,13 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (!json) {
-    std::printf("running \"%s\": %zu functions x %zu inputs x %zu parallelisms x %zu systems "
-                "x %d reps\n",
+    std::printf("running \"%s\": %zu functions x %zu inputs x %zu parallelisms x ",
                 config->name.c_str(), config->functions.size(), config->test_inputs.size(),
-                config->parallelism.size(), config->systems.size(), config->reps);
+                config->parallelism.size());
+    if (!config->sweep.empty()) {
+      std::printf("%zu sweep values x ", config->sweep.size());
+    }
+    std::printf("%zu systems x %d reps\n", config->systems.size(), config->reps);
   }
   Result<ExperimentResults> results = RunExperiment(*config);
   if (!results.ok()) {

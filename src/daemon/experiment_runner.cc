@@ -1,8 +1,9 @@
 #include "src/daemon/experiment_runner.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <fstream>
 #include <memory>
+#include <string>
 
 #include "src/common/json_writer.h"
 #include "src/metrics/table.h"
@@ -51,8 +52,18 @@ WorkloadInput ResolveInput(const TestInputSpec& spec, const FunctionSpec& functi
 }
 
 double Megabytes(ByteCount bytes) { return static_cast<double>(bytes.value()) / 1e6; }
+double Mebibytes(ByteCount bytes) {
+  return static_cast<double>(bytes.value()) / static_cast<double>(kMiB);
+}
+double Count(uint64_t n) { return static_cast<double>(n); }
 
-void RecordReport(ExperimentCell* cell, const InvocationReport& report) {
+bool HasSweep(const std::vector<ExperimentCell>& cells) {
+  return std::any_of(cells.begin(), cells.end(),
+                     [](const ExperimentCell& cell) { return !cell.sweep.empty(); });
+}
+
+void RecordReport(ExperimentCell* cell, const FunctionSnapshot& snapshot,
+                  const InvocationReport& report) {
   cell->total_ms.Record(report.total_time().millis());
   cell->setup_ms.Record(report.setup_time.millis());
   cell->invocation_ms.Record(report.invocation_time.millis());
@@ -65,27 +76,38 @@ void RecordReport(ExperimentCell* cell, const InvocationReport& report) {
   cell->inflight_waits.Record(
       static_cast<double>(report.faults.count(FaultClass::kInFlightWait)));
   cell->fault_block_requests.Record(static_cast<double>(report.faults.fault_disk_requests));
-  const ByteCount footprint = PagesToBytes(report.anon_resident_pages + report.page_cache_pages);
-  cell->footprint_mib.Record(static_cast<double>(footprint.value()) / static_cast<double>(kMiB));
+  cell->footprint_mib.Record(
+      Mebibytes(PagesToBytes(report.anon_resident_pages + report.page_cache_pages)));
+  cell->loading_set_regions.Record(Count(snapshot.loading_set.regions.size()));
+  cell->loading_set_mib.Record(Mebibytes(PagesToBytes(snapshot.loading_set.total_pages)));
+  cell->mmap_calls.Record(Count(report.mmap_calls));
+  const FaultMetrics& faults = report.faults;
+  cell->batch_installs.Record(Count(faults.batch_installs));
+  cell->batch_installed_pages.Record(Count(faults.batch_installed_pages.value()));
+  cell->huge_installs.Record(Count(faults.huge_installs));
+  cell->huge_splits.Record(Count(faults.huge_splits));
+  cell->coalesced_pages.Record(Count(faults.coalesced_pages.value()));
   TallyOutcome(cell, report);
 }
 
 // One repetition of one cell on a fresh platform: record (one snapshot, or one
 // per burst member), drop caches, then `parallelism` simultaneous invocations.
 // Nothing here depends on the scenario's other cells.
-void RunRep(const Scenario& scenario, const TraceGenerator& generator,
-            const TestInputSpec& input_spec, int parallelism, size_t system_index, int rep,
-            Observability* obs, ExperimentCell* cell) {
+void RunRep(const Scenario& scenario, const PlatformConfig& cell_platform,
+            const TraceGenerator& generator, const TestInputSpec& input_spec, int parallelism,
+            size_t system_index, int rep, Observability* obs, ExperimentCell* cell) {
   const FunctionSpec& spec = generator.spec();
   const RestoreMode system = scenario.systems[system_index];
-  PlatformConfig platform_config = scenario.platform;
+  PlatformConfig platform_config = cell_platform;
   platform_config.seed = scenario.base_seed + static_cast<uint64_t>(rep) * 7919;
   Platform platform(platform_config);
   if (obs != nullptr) {
-    char track[192];
-    std::snprintf(track, sizeof(track), "%s input=%s parallelism=%d system=%s rep=%d",
-                  spec.name.c_str(), input_spec.label.c_str(), parallelism,
-                  cell->system.c_str(), rep);
+    std::string track =
+        spec.name + " input=" + input_spec.label + " parallelism=" + std::to_string(parallelism);
+    if (!cell->sweep.empty()) {
+      track += " sweep=" + cell->sweep;
+    }
+    track += " system=" + cell->system + " rep=" + std::to_string(rep);
     if (!obs->forensics.enabled()) {
       // Under forensics the platform records into the recorder's recycling
       // buffer; the run-wide tracer stays empty (cell spans aside) and per-rep
@@ -130,8 +152,8 @@ void RunRep(const Scenario& scenario, const TraceGenerator& generator,
   std::unique_ptr<AdmissionController> admission;
   if (!scenario.admission_enabled) {
     for (int i = 0; i < parallelism; ++i) {
-      platform.InvokeAsync(snapshot_of(i), system, trace_of(i), [&](InvocationReport report) {
-        RecordReport(cell, report);
+      platform.InvokeAsync(snapshot_of(i), system, trace_of(i), [&, i](InvocationReport report) {
+        RecordReport(cell, snapshot_of(i), report);
         ++resolved;
       });
     }
@@ -144,7 +166,7 @@ void RunRep(const Scenario& scenario, const TraceGenerator& generator,
       (void)wait;  // queue time is visible in the report's setup span
       platform.InvokeAsync(snapshot_of(request.id), system, trace_of(request.id),
                            [&, request](InvocationReport report) {
-                             RecordReport(cell, report);
+                             RecordReport(cell, snapshot_of(request.id), report);
                              ++resolved;
                              admission->OnComplete(request);
                            });
@@ -207,20 +229,27 @@ Result<ExperimentResults> RunExperiment(const Scenario& scenario) {
     }
   }
 
+  // Without a sweep, one unlabelled value: the scenario's platform.
+  const std::vector<SweepValue> sweep =
+      scenario.sweep.empty() ? std::vector<SweepValue>{{"", scenario.platform}} : scenario.sweep;
   for (const FunctionSpec& spec : scenario.functions) {
     const TraceGenerator generator(spec, scenario.platform.layout);
     for (const TestInputSpec& input_spec : scenario.test_inputs) {
       for (int parallelism : scenario.parallelism) {
-        for (size_t s = 0; s < scenario.systems.size(); ++s) {
-          ExperimentCell cell;
-          cell.function = spec.name;
-          cell.system = std::string(RestoreModeName(scenario.systems[s]));
-          cell.test_input = input_spec.label;
-          cell.parallelism = parallelism;
-          for (int rep = 0; rep < scenario.reps; ++rep) {
-            RunRep(scenario, generator, input_spec, parallelism, s, rep, obs.get(), &cell);
+        for (const SweepValue& value : sweep) {
+          for (size_t s = 0; s < scenario.systems.size(); ++s) {
+            ExperimentCell cell;
+            cell.function = spec.name;
+            cell.system = std::string(RestoreModeName(scenario.systems[s]));
+            cell.test_input = input_spec.label;
+            cell.parallelism = parallelism;
+            cell.sweep = value.label;
+            for (int rep = 0; rep < scenario.reps; ++rep) {
+              RunRep(scenario, value.platform, generator, input_spec, parallelism, s, rep,
+                     obs.get(), &cell);
+            }
+            results.cells.push_back(std::move(cell));
           }
-          results.cells.push_back(std::move(cell));
         }
       }
     }
@@ -280,24 +309,33 @@ Result<ClusterStats> RunClusterScenario(const Scenario& scenario) {
 }
 
 std::string ExperimentResults::ToTable() const {
-  // The outcomes column appears only when some cell degraded or failed, so
-  // fault-free output is unchanged.
+  // The sweep column appears only when some cell has a sweep label, and the
+  // outcomes column only when some cell degraded or failed, so an unswept,
+  // fault-free table is unchanged.
+  const bool any_sweep = HasSweep(cells);
   bool any_non_ok = false;
   for (const ExperimentCell& cell : cells) {
     any_non_ok = any_non_ok || !cell.all_ok();
   }
-  std::vector<std::string> header = {"function",   "test input", "parallelism", "system",
-                                     "total (ms)", "setup (ms)", "invoke (ms)"};
+  std::vector<std::string> header = {"function", "test input", "parallelism"};
+  if (any_sweep) {
+    header.push_back("sweep");
+  }
+  header.insert(header.end(), {"system", "total (ms)", "setup (ms)", "invoke (ms)"});
   if (any_non_ok) {
     header.push_back("ok/deg/fail/shed");
   }
   TextTable table(header);
   for (const ExperimentCell& cell : cells) {
-    std::vector<std::string> row = {
-        cell.function, cell.test_input, std::to_string(cell.parallelism), cell.system,
-        FormatCell("%.1f +- %.1f", cell.total_ms.mean(), cell.total_ms.stddev()),
-        FormatCell("%.1f", cell.setup_ms.mean()),
-        FormatCell("%.1f", cell.invocation_ms.mean())};
+    std::vector<std::string> row = {cell.function, cell.test_input,
+                                    std::to_string(cell.parallelism)};
+    if (any_sweep) {
+      row.push_back(cell.sweep);
+    }
+    row.insert(row.end(), {cell.system,
+                           FormatCell("%.1f +- %.1f", cell.total_ms.mean(), cell.total_ms.stddev()),
+                           FormatCell("%.1f", cell.setup_ms.mean()),
+                           FormatCell("%.1f", cell.invocation_ms.mean())});
     if (any_non_ok) {
       row.push_back(std::to_string(cell.ok) + "/" + std::to_string(cell.degraded) + "/" +
                     std::to_string(cell.failed) + "/" + std::to_string(cell.shed));
@@ -308,6 +346,7 @@ std::string ExperimentResults::ToTable() const {
 }
 
 std::string ExperimentResults::ToJson() const {
+  const bool any_sweep = HasSweep(cells);
   JsonWriter json;
   json.BeginObject().Field("name", name).Key("cells").BeginArray();
   for (const ExperimentCell& cell : cells) {
@@ -315,8 +354,11 @@ std::string ExperimentResults::ToJson() const {
         .Field("function", cell.function)
         .Field("system", cell.system)
         .Field("test_input", cell.test_input)
-        .Field("parallelism", static_cast<int64_t>(cell.parallelism))
-        .Field("total_ms_mean", cell.total_ms.mean())
+        .Field("parallelism", static_cast<int64_t>(cell.parallelism));
+    if (any_sweep) {
+      json.Field("sweep", cell.sweep);
+    }
+    json.Field("total_ms_mean", cell.total_ms.mean())
         .Field("total_ms_std", cell.total_ms.stddev())
         .Field("setup_ms_mean", cell.setup_ms.mean())
         .Field("invocation_ms_mean", cell.invocation_ms.mean())
@@ -328,7 +370,15 @@ std::string ExperimentResults::ToJson() const {
         .Field("major_faults_mean", cell.major_faults.mean())
         .Field("inflight_waits_mean", cell.inflight_waits.mean())
         .Field("fault_block_requests_mean", cell.fault_block_requests.mean())
-        .Field("footprint_mib_mean", cell.footprint_mib.mean());
+        .Field("footprint_mib_mean", cell.footprint_mib.mean())
+        .Field("loading_set_regions_mean", cell.loading_set_regions.mean())
+        .Field("loading_set_mib_mean", cell.loading_set_mib.mean())
+        .Field("mmap_calls_mean", cell.mmap_calls.mean())
+        .Field("batch_installs_mean", cell.batch_installs.mean())
+        .Field("batch_installed_pages_mean", cell.batch_installed_pages.mean())
+        .Field("huge_installs_mean", cell.huge_installs.mean())
+        .Field("huge_splits_mean", cell.huge_splits.mean())
+        .Field("coalesced_pages_mean", cell.coalesced_pages.mean());
     if (!cell.all_ok()) {
       json.Field("ok", cell.ok)
           .Field("degraded", cell.degraded)

@@ -1,11 +1,12 @@
 // ExperimentRunner: executes a parsed Scenario and renders results — the
 // counterpart of the paper artifact's `test.py` driver (Appendix A.4).
 //
-// Restore matrix: one cell per (function, test input, parallelism, system).
-// Each repetition of a cell gets a fresh platform, seeded base_seed + 7919 *
-// rep, that records, drops caches and runs `parallelism` simultaneous
-// invocations. A test input's contents depend on the rep, never on the system,
-// so no cell depends on the other cells of the scenario. Cluster scenario: one
+// Restore matrix: one cell per (function, test input, parallelism, sweep
+// value, system). Each repetition of a cell gets a fresh platform, the sweep
+// value's (the scenario's own without a sweep) seeded base_seed + 7919 * rep,
+// that records, drops caches and runs `parallelism` simultaneous invocations.
+// A test input's contents depend on the rep, never on the system, so no cell
+// depends on the other cells of the scenario. Cluster scenario: one
 // ClusterSimulator run over the sampled arrival mix.
 
 #ifndef FAASNAP_SRC_DAEMON_EXPERIMENT_RUNNER_H_
@@ -24,6 +25,7 @@ struct ExperimentCell {
   std::string system;
   std::string test_input;
   int parallelism = 1;
+  std::string sweep;  // the sweep value's label; empty without a sweep
   RunningStats total_ms;
   RunningStats setup_ms;
   RunningStats invocation_ms;
@@ -41,6 +43,17 @@ struct ExperimentCell {
   // page cache is the host's, so this is one VM's footprint only at
   // parallelism 1.
   RunningStats footprint_mib;
+  // The sweeps' fields (sections 4.3 and 4.6, the fault-path levers): the
+  // restored snapshot's loading set, the restore's mmap calls and the levers'
+  // attribution counters.
+  RunningStats loading_set_regions;
+  RunningStats loading_set_mib;
+  RunningStats mmap_calls;
+  RunningStats batch_installs;
+  RunningStats batch_installed_pages;
+  RunningStats huge_installs;
+  RunningStats huge_splits;
+  RunningStats coalesced_pages;
   // Outcome tallies across the cell's invocations (all kOk on fault-free runs).
   int64_t ok = 0;
   int64_t degraded = 0;

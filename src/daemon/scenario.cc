@@ -5,9 +5,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <utility>
 
+#include "src/common/json_writer.h"
 #include "src/workloads/trace_generator.h"
 
 namespace faasnap {
@@ -29,6 +31,12 @@ class FieldReader {
       *error_ = InvalidArgumentError(path_ + key + ": " + message);
     }
   }
+
+  // This object's members.
+  const JsonObject& members() const { return node_.object(); }
+
+  // A reader of `node` at this reader's path, sharing its error.
+  FieldReader Over(const JsonValue& node) const { return FieldReader(node, path_, error_); }
 
   // The nested object at `key`; nullopt when absent or not an object.
   std::optional<FieldReader> Object(const char* key) {
@@ -328,6 +336,82 @@ void ReadPlatform(FieldReader& in, uint64_t base_seed, PlatformConfig* out) {
   }
 }
 
+// Compact JSON text of `value`: no whitespace, object keys in sorted order,
+// integers without a fraction and other numbers in the fewest digits that
+// read back exactly.
+std::string CompactJson(const JsonValue& value) {
+  switch (value.type()) {
+    case JsonValue::Type::kNull:
+      return "null";
+    case JsonValue::Type::kBool:
+      return *value.AsBool() ? "true" : "false";
+    case JsonValue::Type::kNumber: {
+      char text[32];
+      if (Result<int64_t> i = value.AsInt(); i.ok()) {
+        std::snprintf(text, sizeof(text), "%lld", static_cast<long long>(*i));
+      } else {
+        const double d = *value.AsDouble();
+        std::snprintf(text, sizeof(text), "%.15g", d);
+        if (std::strtod(text, nullptr) != d) {
+          std::snprintf(text, sizeof(text), "%.17g", d);
+        }
+      }
+      return text;
+    }
+    case JsonValue::Type::kString:
+      return "\"" + JsonEscape(*value.AsString()) + "\"";
+    case JsonValue::Type::kArray: {
+      std::string text = "[";
+      for (const JsonValue& item : value.array()) {
+        text += (text.size() > 1 ? "," : "") + CompactJson(item);
+      }
+      return text + "]";
+    }
+    case JsonValue::Type::kObject: {
+      std::string text = "{";
+      for (const auto& [key, member] : value.object()) {
+        text += (text.size() > 1 ? ",\"" : "\"") + JsonEscape(key) + "\":" + CompactJson(member);
+      }
+      return text + "}";
+    }
+  }
+  return "";
+}
+
+// "sweep": one platform key and its values. ReadPlatform reads each value as
+// the top-level key onto a copy of `base`, so a value means what it would mean
+// there and is checked the same way.
+void ReadSweep(FieldReader& in, const PlatformConfig& base, uint64_t base_seed,
+               std::vector<SweepValue>* out) {
+  std::optional<FieldReader> sweep = in.Object("sweep");
+  if (!sweep.has_value()) {
+    return;
+  }
+  if (sweep->members().size() != 1) {
+    return in.Fail("sweep", "must have exactly one key");
+  }
+  const auto& [key, values] = *sweep->members().begin();
+  if (key != "ws_group_size" && key != "merge_gap_pages" && key != "fault_path") {
+    return sweep->Fail(key, "cannot be swept (use ws_group_size, merge_gap_pages or fault_path)");
+  }
+  if (!values.is_array() || values.array().empty()) {
+    return sweep->Fail(key, "must be a non-empty array");
+  }
+  std::vector<SweepValue> points;
+  std::set<std::string> labels;
+  for (const JsonValue& value : values.array()) {
+    SweepValue point{CompactJson(value), base};
+    if (!labels.insert(point.label).second) {
+      return sweep->Fail(key, "lists " + point.label + " twice");
+    }
+    const JsonValue one(JsonObject{{key, value}});
+    FieldReader reader = sweep->Over(one);
+    ReadPlatform(reader, base_seed, &point.platform);
+    points.push_back(std::move(point));
+  }
+  *out = std::move(points);
+}
+
 void ReadCluster(FieldReader& in, ClusterScenario* out) {
   ClusterConfig& config = out->config;
   in.Int("hosts", &config.hosts, 1);
@@ -421,6 +505,11 @@ Result<Scenario> ParseScenario(const JsonValue& root) {
 
   if (std::optional<FieldReader> cluster = in.Object("cluster")) {
     ReadCluster(*cluster, &s.cluster.emplace());
+  }
+  if (s.cluster.has_value() && root.Has("sweep")) {
+    in.Fail("sweep", "is not supported in a cluster scenario");
+  } else {
+    ReadSweep(in, s.platform, s.base_seed, &s.sweep);
   }
   RETURN_IF_ERROR(error);
   return s;

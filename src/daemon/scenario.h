@@ -79,6 +79,15 @@
 //                                               //   one cell per value (Figure 10)
 //   "snapshots": "shared",                      // "shared" | "distinct": one snapshot
 //                                               //   per burst member when distinct
+//   "sweep": {"ws_group_size": [64, 1024]},     // one more cell axis, beside parallelism:
+//                                               //   exactly one of ws_group_size,
+//                                               //   merge_gap_pages or fault_path, with a
+//                                               //   non-empty list of distinct values.
+//                                               //   Each value is read as the top-level
+//                                               //   key onto a copy of the platform, so
+//                                               //   a fault_path value sets only the
+//                                               //   levers it names. Cells are labelled
+//                                               //   with the value's compact JSON text.
 //   "trace_out": "trace.json",                  // Perfetto/Chrome trace export
 //   "metrics_out": "metrics.json",              // metrics registry snapshot
 //   "timeline_out": "run.timeline.jsonl",       // windowed metrics deltas (JSONL)
@@ -91,7 +100,8 @@
 //     "buffer_capacity": 65536                  // recycling span-buffer records; >= 1
 //   },
 //
-//   // Cluster scenario (the observability outputs above are InvalidArgument).
+//   // Cluster scenario (a "sweep" and the observability outputs above are
+//   // InvalidArgument).
 //   "cluster": {
 //     "hosts": 4,                               // >= 1
 //     "worker_threads": 2,                      // parallel shard workers; <= 1 = serial
@@ -146,6 +156,13 @@ struct TestInputSpec {
   std::string label;  // as written in the config
 };
 
+// One value of a restore matrix's "sweep": the scenario's platform with the
+// swept key set to the value, and the value's compact JSON text as its label.
+struct SweepValue {
+  std::string label;
+  PlatformConfig platform;
+};
+
 // The "cluster" object of a cluster scenario.
 struct ClusterScenario {
   // Hosts, worker threads, quantum, router and warm pool. RunClusterScenario
@@ -182,6 +199,8 @@ struct Scenario {
   // platform, restored from one shared snapshot or from one snapshot each.
   std::vector<int> parallelism = {1};
   bool distinct_snapshots = false;
+  // The "sweep" values, one cell each beside parallelism; empty without one.
+  std::vector<SweepValue> sweep;
 
   // Observability outputs; empty = disabled. trace_out receives a Perfetto-
   // loadable Chrome trace (one track per repetition of a cell), metrics_out

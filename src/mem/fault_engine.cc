@@ -350,31 +350,8 @@ void FaultEngine::StartUffdFault(PageIndex page, SimTime fault_start, SpanId fau
       spans_ != nullptr ? spans_->BeginId(fault_start, ObsLane::kUffd, uffd_resolve_name_, page,
                                           0, fault_span)
                         : kNoSpan;
-  if (fault_path_.batched_uffd_install) {
-    // Batched lever: the handler reports the run it produced; one multi-page
-    // UFFDIO_COPY installs it. The round trip is paid once; neighbors cost
-    // only the marginal copy, and the guest first-touches them later as
-    // cheap preinstalled faults.
-    uffd_handler_->HandleFaultBatched(
-        page, [this, page, fault_start, fault_span, resolve_span](const Status& status,
-                                                                   PageRange run) {
-          if (spans_ != nullptr) {
-            spans_->End(resolve_span, sim_->now());
-          }
-          if (!status.ok()) {
-            FailAccess(fault_span, status);
-            return;
-          }
-          run = TrimToUninstalled(run, page);
-          const Duration cost = costs_.uffd_round_trip +
-                                costs_.uffd_batch_per_page * static_cast<int64_t>(run.count - 1);
-          ScheduleRetire(Pending(run, page, FaultClass::kUffdHandled, fault_start, fault_span),
-                         cost);
-        });
-    return;
-  }
-  uffd_handler_->HandleFault(page, [this, page, fault_start, fault_span,
-                                    resolve_span](const Status& status) {
+  uffd_handler_->HandleFault(page, [this, page, fault_start, fault_span, resolve_span](
+                                       const Status& status, PageRange run) {
     if (spans_ != nullptr) {
       spans_->End(resolve_span, sim_->now());
     }
@@ -382,11 +359,15 @@ void FaultEngine::StartUffdFault(PageIndex page, SimTime fault_start, SpanId fau
       FailAccess(fault_span, status);
       return;
     }
-    // Handler resolved the contents; account the uffd round trip plus the
-    // vCPU-block penalty (guest cannot resume immediately; section 6.4).
-    ScheduleRetire(
-        Pending(PageRange{page, 1}, page, FaultClass::kUffdHandled, fault_start, fault_span),
-        costs_.uffd_round_trip);
+    // Batched lever: one multi-page UFFDIO_COPY installs the run the handler
+    // produced. The round trip is paid once; neighbors cost only the marginal
+    // copy, and the guest first-touches them later as cheap preinstalled
+    // faults. Off, the page alone. The vCPU-block penalty follows from the
+    // class (the guest cannot resume immediately; section 6.4).
+    run = fault_path_.batched_uffd_install ? TrimToUninstalled(run, page) : PageRange{page, 1};
+    const Duration cost =
+        costs_.uffd_round_trip + costs_.uffd_batch_per_page * static_cast<int64_t>(run.count - 1);
+    ScheduleRetire(Pending(run, page, FaultClass::kUffdHandled, fault_start, fault_span), cost);
   });
 }
 
@@ -407,90 +388,91 @@ void FaultEngine::StartFileFault(PageIndex page, const AddressSpace::Mapping& ma
         std::min(span.end() - backing.file_page - 1, mapping.run.end() - page - 1);
     const PageRange candidate{page - before, before + after + 1};
     const Duration tail = costs_.inflight_wait_overhead + split_extra;
-    EnsureFilePage(backing.file, backing.file_page, /*charge_to_faults=*/true,
-                   [this, page, candidate, tail, fault_start, fault_span](
-                       const Status& status, PageCache::PageState) {
-                     if (!status.ok()) {
-                       FailAccess(fault_span, status);
-                       return;
-                     }
-                     const PageRange run = TrimToUninstalled(candidate, page);
-                     ScheduleRetire(
-                         Pending(run, page, FaultClass::kInFlightWait, fault_start, fault_span),
-                         tail);
-                   },
-                   fault_span);
+    ReadOrWaitFilePage(backing.file, backing.file_page, cache_state, /*charge_to_faults=*/true,
+                       [this, page, candidate, tail, fault_start, fault_span](
+                           const Status& status) {
+                         if (!status.ok()) {
+                           FailAccess(fault_span, status);
+                           return;
+                         }
+                         const PageRange run = TrimToUninstalled(candidate, page);
+                         ScheduleRetire(Pending(run, page, FaultClass::kInFlightWait,
+                                                fault_start, fault_span),
+                                        tail);
+                       },
+                       fault_span);
     return;
   }
   // Either already in flight (wait on the existing IO) or absent (issue a read
-  // with readahead, then wait). EnsureFilePage handles both.
+  // with readahead, then wait). ReadOrWaitFilePage handles both.
   const FaultClass cls = cache_state == PageCache::PageState::kInFlight
                              ? FaultClass::kInFlightWait
                              : FaultClass::kMajor;
   const Duration tail = (cls == FaultClass::kMajor ? costs_.major_fault_overhead
                                                    : costs_.inflight_wait_overhead) +
                         split_extra;
-  EnsureFilePage(backing.file, backing.file_page, /*charge_to_faults=*/true,
-                 [this, page, cls, tail, fault_start, fault_span](const Status& status,
-                                                                  PageCache::PageState) {
-                   if (!status.ok()) {
-                     FailAccess(fault_span, status);
-                     return;
-                   }
-                   ScheduleRetire(Pending(PageRange{page, 1}, page, cls, fault_start, fault_span),
-                                  tail);
-                 },
-                 fault_span);
+  ReadOrWaitFilePage(backing.file, backing.file_page, cache_state, /*charge_to_faults=*/true,
+                     [this, page, cls, tail, fault_start, fault_span](const Status& status) {
+                       if (!status.ok()) {
+                         FailAccess(fault_span, status);
+                         return;
+                       }
+                       ScheduleRetire(
+                           Pending(PageRange{page, 1}, page, cls, fault_start, fault_span), tail);
+                     },
+                     fault_span);
 }
 
 void FaultEngine::EnsureFilePage(FileId file, PageIndex page, bool charge_to_faults,
                                  std::function<void(const Status&, PageCache::PageState)> done,
                                  SpanId parent) {
-  const PageCache::PageState initial = cache_->GetState(file, page);
-  switch (initial) {
-    case PageCache::PageState::kPresent:
-      done(OkStatus(), initial);
-      return;
-    case PageCache::PageState::kInFlight:
-      cache_->WaitFor(file, page, [initial, done = std::move(done)](const Status& status) {
-        done(status, initial);
-      });
-      return;
-    case PageCache::PageState::kAbsent:
-      break;
+  const PageCache::PageState state = cache_->GetState(file, page);
+  if (state == PageCache::PageState::kPresent) {
+    done(OkStatus(), state);
+    return;
   }
-  // Miss: read the faulting page plus the readahead window, skipping anything the
-  // cache already has or has in flight.
-  const PageCount file_pages = file_size_pages_(file);
-  const PageRange window = readahead_->WindowFor(file, page, file_pages);
-  const PageRangeSet missing = cache_->AbsentIn(file, window);
-  FAASNAP_CHECK(missing.Contains(page));
-  for (const PageRange& r : missing.ranges()) {
-    const PageCache::ReadHandle handle = cache_->BeginRead(file, r);
-    if (charge_to_faults) {
-      metrics_.fault_disk_requests++;
-      metrics_.fault_disk_bytes += PagesToBytes(PageCount::FromPages(r.count));
+  ReadOrWaitFilePage(file, page, state, charge_to_faults,
+                     [state, done = std::move(done)](const Status& status) {
+                       done(status, state);
+                     },
+                     parent);
+}
+
+void FaultEngine::ReadOrWaitFilePage(FileId file, PageIndex page, PageCache::PageState state,
+                                     bool charge_to_faults, PageCache::Waiter done,
+                                     SpanId parent) {
+  if (state == PageCache::PageState::kAbsent) {
+    // Miss: read the faulting page plus the readahead window, skipping anything
+    // the cache already has or has in flight.
+    const PageCount file_pages = file_size_pages_(file);
+    const PageRange window = readahead_->WindowFor(file, page, file_pages);
+    const PageRangeSet missing = cache_->AbsentIn(file, window);
+    FAASNAP_CHECK(missing.Contains(page));
+    for (const PageRange& r : missing.ranges()) {
+      const PageCache::ReadHandle handle = cache_->BeginRead(file, r);
+      if (charge_to_faults) {
+        metrics_.fault_disk_requests++;
+        metrics_.fault_disk_bytes += PagesToBytes(PageCount::FromPages(r.count));
+      }
+      // The range holding the faulting page is guest-blocking (demand class);
+      // the rest of the readahead window is speculative, so it queues as
+      // prefetch and cannot delay other vCPUs' demand faults at the device.
+      const ReadClass cls = r.first <= page && page < r.end() ? ReadClass::kDemand
+                                                              : ReadClass::kPrefetch;
+      // A failed read must still retire the cache entry, or waiters (this fault
+      // and anyone who piled onto the in-flight range) would sleep forever.
+      storage_->ReadWithStatus(file, PagesToBytes(r.first), PagesToBytes(r.count),
+                               [this, handle](Status status) {
+                                 if (status.ok()) {
+                                   cache_->CompleteRead(handle);
+                                 } else {
+                                   cache_->FailRead(handle, status);
+                                 }
+                               },
+                               parent, cls);
     }
-    // The range holding the faulting page is guest-blocking (demand class);
-    // the rest of the readahead window is speculative, so it queues as
-    // prefetch and cannot delay other vCPUs' demand faults at the device.
-    const ReadClass cls = r.first <= page && page < r.end() ? ReadClass::kDemand
-                                                            : ReadClass::kPrefetch;
-    // A failed read must still retire the cache entry, or waiters (this fault
-    // and anyone who piled onto the in-flight range) would sleep forever.
-    storage_->ReadWithStatus(file, PagesToBytes(r.first), PagesToBytes(r.count),
-                             [this, handle](Status status) {
-                               if (status.ok()) {
-                                 cache_->CompleteRead(handle);
-                               } else {
-                                 cache_->FailRead(handle, status);
-                               }
-                             },
-                             parent, cls);
   }
-  cache_->WaitFor(file, page, [initial, done = std::move(done)](const Status& status) {
-    done(status, initial);
-  });
+  cache_->WaitFor(file, page, std::move(done));
 }
 
 }  // namespace faasnap

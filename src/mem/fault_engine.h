@@ -46,25 +46,17 @@ class UffdHandler {
   virtual ~UffdHandler() = default;
 
   // Resolve the fault on `guest_page`: make the page's contents available and
-  // call `done(OkStatus())` (on the simulation clock) when the UFFDIO_COPY could
-  // be issued, or `done(error)` if the contents could not be produced (e.g. the
-  // backing read failed terminally). The engine accounts the uffd round-trip
-  // cost and installs the page on success; on failure it routes the error to
-  // the guest (FaultGuest::Fail).
-  virtual void HandleFault(PageIndex guest_page, std::function<void(const Status&)> done) = 0;
-
-  // Batched variant (batched-uffd-install lever): the handler may resolve a
-  // whole contiguous run around `guest_page` from one pread buffer and report
-  // it so the engine installs the run with a single multi-page UFFDIO_COPY.
-  // `run` must contain `guest_page`; the engine trims it to pages that are
-  // still uninstalled and within one mapping. The default forwards to the
-  // single-page HandleFault, so existing handlers keep working unchanged.
-  virtual void HandleFaultBatched(PageIndex guest_page,
-                                  std::function<void(const Status&, PageRange)> done) {
-    HandleFault(guest_page, [guest_page, done = std::move(done)](const Status& status) {
-      done(status, PageRange{guest_page, 1});
-    });
-  }
+  // call `done(OkStatus(), run)` (on the simulation clock) when the UFFDIO_COPY
+  // could be issued, or `done(error, run)` if the contents could not be
+  // produced (e.g. the backing read failed terminally). `run` contains
+  // `guest_page`: the contiguous run the handler's buffer holds, or the page
+  // alone. With the batched-uffd-install lever on, the engine trims it to pages
+  // still uninstalled within one mapping and installs them with one multi-page
+  // UFFDIO_COPY; with it off, the engine installs the page alone. The engine
+  // accounts the uffd round trip and installs on success; on failure it routes
+  // the error to the guest (FaultGuest::Fail).
+  virtual void HandleFault(PageIndex guest_page,
+                           std::function<void(const Status&, PageRange)> done) = 0;
 };
 
 // The guest that issues accesses (the Vm): how an access that left AccessRun
@@ -164,7 +156,8 @@ class FaultEngine {
   // Makes a file page readable through the page cache (issuing a device read with
   // readahead on a miss) and calls `done(status, state_before)` at data-ready
   // time; a non-OK status means the covering read failed terminally and the page
-  // is still absent. Used by the major-fault path and by REAP's handler pread.
+  // is still absent. Used by REAP's handler pread; the major-fault path, which
+  // has already looked the page up, starts past the lookup (ReadOrWaitFilePage).
   // Disk traffic is charged to fault metrics iff `charge_to_faults`. `parent`
   // links issued disk-read spans to the causing span.
   void EnsureFilePage(FileId file, PageIndex page, bool charge_to_faults,
@@ -240,6 +233,12 @@ class FaultEngine {
   void StartFileFault(PageIndex page, const AddressSpace::Mapping& mapping,
                       PageCache::PageState cache_state, Duration split_extra,
                       SimTime fault_start, SpanId fault_span);
+
+  // EnsureFilePage past its lookup, for a page whose cache state `state` is
+  // known and not present: joins the read in flight, or issues the read with
+  // readahead, and calls `done` at data-ready time.
+  void ReadOrWaitFilePage(FileId file, PageIndex page, PageCache::PageState state,
+                          bool charge_to_faults, PageCache::Waiter done, SpanId parent);
 
   // Clamps `run` to the maximal contiguous sub-run around `page` whose pages
   // are still uninstalled and share `page`'s mapping.

@@ -195,30 +195,8 @@ class ReapUffdHandler final : public UffdHandler {
  public:
   void Bind(RestoreEnv* env) { env_ = env; }
 
-  void HandleFault(PageIndex guest_page, std::function<void(const Status&)> done) override {
-    // Whole-file mapping: guest page == memory file page.
-    env_->engine->EnsureFilePage(
-        env_->snapshot->memory_vanilla.id, guest_page, /*charge_to_faults=*/true,
-        [this, done = std::move(done)](const Status& status,
-                                       PageCache::PageState state) mutable {
-          if (!status.ok()) {
-            done(status);
-            return;
-          }
-          // The cached-pread charge applies only when the page was already in
-          // the cache: on a miss the monitor's pread *is* the device read just
-          // accounted, so charging the cached-copy cost again would double-pay.
-          if (state == PageCache::PageState::kPresent) {
-            env_->sim->ScheduleAfter(env_->config->host_costs.cached_pread_page,
-                                     [done = std::move(done)] { done(OkStatus()); });
-          } else {
-            done(OkStatus());
-          }
-        });
-  }
-
-  void HandleFaultBatched(PageIndex guest_page,
-                          std::function<void(const Status&, PageRange)> done) override {
+  void HandleFault(PageIndex guest_page,
+                   std::function<void(const Status&, PageRange)> done) override {
     const FileId mem = env_->snapshot->memory_vanilla.id;
     env_->engine->EnsureFilePage(
         mem, guest_page, /*charge_to_faults=*/true,
@@ -228,19 +206,27 @@ class ReapUffdHandler final : public UffdHandler {
             done(status, PageRange{guest_page, 1});
             return;
           }
-          // The monitor's pread buffer covers the contiguous cached run around
-          // the faulting page (whole-file mapping: guest page == file page);
-          // offer it for one multi-page UFFDIO_COPY. Weighted toward pages
-          // after the fault — that is where a streaming guest goes next.
+          // With the batched-install lever on, the monitor's pread buffer covers
+          // the contiguous cached run around the faulting page (whole-file
+          // mapping: guest page == file page), capped at uffd_batch_max_pages
+          // and weighted toward pages after the fault, where a streaming guest
+          // goes next. Off, it holds the page alone.
+          const FaultPathConfig& fault_path = env_->config->fault_path;
           const uint64_t max_batch =
-              std::max<uint64_t>(env_->config->fault_path.uffd_batch_max_pages.value(), 1);
-          const uint64_t before = max_batch / 4;
-          PageRange run =
-              env_->cache->PresentRunAround(mem, guest_page, before, max_batch - before - 1);
-          if (run.empty()) {
-            run = PageRange{guest_page, 1};
+              fault_path.batched_uffd_install ? fault_path.uffd_batch_max_pages.value() : 1;
+          PageRange run{guest_page, 1};
+          if (max_batch > 1) {
+            const uint64_t before = max_batch / 4;
+            const PageRange around =
+                env_->cache->PresentRunAround(mem, guest_page, before, max_batch - before - 1);
+            if (!around.empty()) {
+              run = around;
+            }
           }
           auto finish = [run, done = std::move(done)]() mutable { done(OkStatus(), run); };
+          // The cached-pread charge applies only when the page was already in
+          // the cache: on a miss the monitor's pread *is* the device read just
+          // accounted, so charging the cached-copy cost again would double-pay.
           if (state == PageCache::PageState::kPresent) {
             env_->sim->ScheduleAfter(env_->config->host_costs.cached_pread_page,
                                      std::move(finish));

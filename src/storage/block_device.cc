@@ -99,23 +99,6 @@ void BlockDevice::UpdateQueueGauges() {
   }
 }
 
-void BlockDevice::Read(uint64_t offset, uint64_t bytes, std::function<void()> done,
-                       SpanId parent) {
-  // Untyped callers have no error handling, so a terminal failure here is a
-  // programming error (pipeline paths use the status overloads).
-  Read(offset, bytes, DeviceReadOptions{ReadClass::kDemand, /*stream=*/0, parent},
-       [done = std::move(done)](Status status) mutable {
-         FAASNAP_CHECK(status.ok() && "untyped BlockDevice::Read failed under fault injection");
-         done();
-       });
-}
-
-void BlockDevice::Read(uint64_t offset, uint64_t bytes, std::function<void(Status)> done,
-                       SpanId parent) {
-  Read(offset, bytes, DeviceReadOptions{ReadClass::kDemand, /*stream=*/0, parent},
-       std::move(done));
-}
-
 void BlockDevice::Read(uint64_t offset, uint64_t bytes, const DeviceReadOptions& options,
                        std::function<void(Status)> done) {
   FAASNAP_CHECK(bytes > 0);

@@ -152,21 +152,12 @@ class BlockDevice {
   BlockDevice(Simulation* sim, BlockDeviceProfile profile, uint64_t seed = 1);
 
   // Issues an asynchronous read of `bytes` at `offset` (offset is for accounting
-  // and merge adjacency). `done` fires on the simulation clock when the data is
-  // available. Untyped reads are demand-class; a terminal injected failure here
-  // is a programming error (pipeline paths use the status-carrying overloads).
-  void Read(uint64_t offset, uint64_t bytes, std::function<void()> done,
-            SpanId parent = kNoSpan);
-
-  // Status-carrying demand-class read: `done(status)` fires on the simulation
-  // clock with OkStatus(), or with the injected failure when a fault injector is
-  // attached and fires. A failed request occupies a request slot and pays the
-  // fixed per-request latency but transfers no data — and releases its scheduler
-  // slot like any other completion, so chaos cannot wedge the queue.
-  void Read(uint64_t offset, uint64_t bytes, std::function<void(Status)> done,
-            SpanId parent = kNoSpan);
-
-  // Class-aware read: the scheduler entry point used by the router.
+  // and merge adjacency), queued under `options`' class. `done(status)` fires on
+  // the simulation clock with OkStatus() when the data is available, or with the
+  // injected failure when a fault injector is attached and fires. A failed
+  // request occupies a request slot and pays the fixed per-request latency but
+  // transfers no data — and releases its scheduler slot like any other
+  // completion, so chaos cannot wedge the queue.
   void Read(uint64_t offset, uint64_t bytes, const DeviceReadOptions& options,
             std::function<void(Status)> done);
 

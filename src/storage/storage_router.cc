@@ -108,23 +108,6 @@ void StorageRouter::set_observability(SpanTracer* spans, MetricsRegistry* metric
   spans_ = spans;
 }
 
-void StorageRouter::Read(FileId file, uint64_t offset, uint64_t bytes,
-                         std::function<void()> done, SpanId parent, ReadClass cls) {
-  FAASNAP_CHECK(!devices_.empty());
-  const DeviceId device = DeviceFor(file);
-  if (routed_local_ != nullptr) {
-    (device == kLocalDevice ? routed_local_ : routed_remote_)->Add(1);
-  }
-  // Untyped callers have no error handling, so a terminal injected failure on
-  // this path is a programming error (pipeline paths use ReadWithStatus).
-  devices_[device]->Read(offset, bytes, DeviceReadOptions{cls, /*stream=*/file, parent},
-                         [done = std::move(done)](Status status) mutable {
-                           FAASNAP_CHECK(status.ok() &&
-                                         "untyped StorageRouter::Read failed under fault injection");
-                           done();
-                         });
-}
-
 int StorageRouter::DemandPressure() const {
   int pressure = 0;
   for (const BlockDevice* device : devices_) {
@@ -141,8 +124,7 @@ void StorageRouter::ReadWithStatus(FileId file, uint64_t offset, uint64_t bytes,
     (device == kLocalDevice ? routed_local_ : routed_remote_)->Add(1);
   }
   if (injector_ == nullptr) {
-    // Chaos off: a single direct device read, event-for-event identical to the
-    // untyped path.
+    // Chaos off: a single direct device read.
     devices_[device]->Read(offset, bytes, DeviceReadOptions{cls, /*stream=*/file, parent},
                            std::move(done));
     return;

@@ -89,17 +89,14 @@ class StorageRouter {
   size_t device_count() const { return devices_.size(); }
 
   // Issues an asynchronous read of `bytes` at `offset` within `file`, on the
-  // device the file is placed on. `parent` links the device's disk-read span to
-  // the causing span (see BlockDevice::Read). `cls` is the scheduling class the
-  // device queues the read under (read_class.h); the file id doubles as the
-  // device-level merge stream, so adjacent reads of one file coalesce but reads
-  // of unrelated files never do.
-  void Read(FileId file, uint64_t offset, uint64_t bytes, std::function<void()> done,
-            SpanId parent = kNoSpan, ReadClass cls = ReadClass::kDemand);
-
-  // Failure-aware read: `done(status)` fires exactly once on the simulation
-  // clock, with OkStatus() on success or a typed error once deadlines, retries,
-  // the circuit breaker, and failover are exhausted. See StorageFaultPolicy.
+  // device the file is placed on. `done(status)` fires exactly once on the
+  // simulation clock, with OkStatus() on success or a typed error once
+  // deadlines, retries, the circuit breaker, and failover are exhausted (see
+  // StorageFaultPolicy). `parent` links the device's disk-read span to the
+  // causing span. `cls` is the scheduling class the device queues the read
+  // under (read_class.h); the file id doubles as the device-level merge
+  // stream, so adjacent reads of one file coalesce but reads of unrelated
+  // files never do.
   using ReadCallback = std::function<void(Status)>;
   void ReadWithStatus(FileId file, uint64_t offset, uint64_t bytes, ReadCallback done,
                       SpanId parent = kNoSpan, ReadClass cls = ReadClass::kDemand);

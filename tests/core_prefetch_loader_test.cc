@@ -81,13 +81,13 @@ TEST_F(PrefetchLoaderTest, AdaptiveDepthHalvesUnderDemandPressureAndRampsBack) {
   // A closed demand-fault chain on another file keeps pressure > 0 early on.
   constexpr FileId kOther = 2;
   int demand_left = 12;
-  std::function<void()> demand_chain = [&] {
+  std::function<void(Status)> demand_chain = [&](Status) {
     if (--demand_left > 0) {
-      router_.Read(kOther, static_cast<uint64_t>(demand_left) * kPageSize, kPageSize,
-                   demand_chain, kNoSpan, ReadClass::kDemand);
+      router_.ReadWithStatus(kOther, static_cast<uint64_t>(demand_left) * kPageSize, kPageSize,
+                             demand_chain, kNoSpan, ReadClass::kDemand);
     }
   };
-  router_.Read(kOther, 0, kPageSize, demand_chain, kNoSpan, ReadClass::kDemand);
+  router_.ReadWithStatus(kOther, 0, kPageSize, demand_chain, kNoSpan, ReadClass::kDemand);
   int min_seen = 4;
   sim_.ScheduleAfter(Duration::Micros(400), [&] { min_seen = loader.current_depth(); });
   loader.Start({{kFile, {0, 4096}}}, [] {});
@@ -103,7 +103,8 @@ TEST_F(PrefetchLoaderTest, AdaptiveDepthHalvesUnderDemandPressureAndRampsBack) {
 TEST_F(PrefetchLoaderTest, AdaptiveDepthOffKeepsConfiguredDepth) {
   PrefetchLoader loader(&sim_, &cache_, &router_,
                         {.chunk_pages = PageCount::FromPages(64), .pipeline_depth = 4, .adaptive_depth = false});
-  router_.Read(kFile, MiB(512).value(), kPageSize, [] {}, kNoSpan, ReadClass::kDemand);
+  router_.ReadWithStatus(kFile, MiB(512).value(), kPageSize, [](Status) {}, kNoSpan,
+                         ReadClass::kDemand);
   loader.Start({{kFile, {0, 1024}}}, [] {});
   sim_.Run();
   EXPECT_EQ(loader.current_depth(), 4);

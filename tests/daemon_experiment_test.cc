@@ -123,6 +123,24 @@ TEST(Scenario, RejectsHostileValues) {
        R"({"functions": ["json"], "cluster": {"host": {"warm_pool_budget_mib": 0}}})"},
       {"admission.max_concurrency",
        R"({"functions": ["json"], "admission": {"max_concurrency": 0}, "cluster": {}})"},
+      {"sweep", R"({"functions": ["json"], "sweep": [{"ws_group_size": [64]}]})"},
+      {"sweep", R"({"functions": ["json"], "sweep": {}})"},
+      {"sweep",
+       R"({"functions": ["json"], "sweep": {"ws_group_size": [64], "merge_gap_pages": [0]}})"},
+      {"sweep.vcpus", R"({"functions": ["json"], "sweep": {"vcpus": [1, 2]}})"},
+      {"sweep.ws_group_size", R"({"functions": ["json"], "sweep": {"ws_group_size": []}})"},
+      {"sweep.ws_group_size", R"({"functions": ["json"], "sweep": {"ws_group_size": 64}})"},
+      {"sweep.ws_group_size", R"({"functions": ["json"], "sweep": {"ws_group_size": [64, 0]}})"},
+      {"sweep.merge_gap_pages", R"({"functions": ["json"], "sweep": {"merge_gap_pages": [-1]}})"},
+      {"sweep.fault_path", R"({"functions": ["json"], "sweep": {"fault_path": [true]}})"},
+      {"sweep.fault_path.huge_density_threshold",
+       R"({"functions": ["json"], "sweep": {"fault_path": [{"huge_density_threshold": 0}]}})"},
+      {"sweep.ws_group_size",
+       R"({"functions": ["json"], "sweep": {"ws_group_size": [64, 256, 64.0]}})"},
+      {"sweep.fault_path",
+       R"({"functions": ["json"],
+           "sweep": {"fault_path": [{"huge_pages": true}, {"huge_pages" : true}]}})"},
+      {"sweep", R"({"functions": ["json"], "sweep": {"ws_group_size": [64]}, "cluster": {}})"},
   };
   for (const auto& c : cases) {
     Result<Scenario> config = Parse(c.doc);
@@ -131,6 +149,36 @@ TEST(Scenario, RejectsHostileValues) {
     EXPECT_NE(config.status().message().find(c.key), std::string::npos)
         << c.key << " not named in: " << config.status().message();
   }
+}
+
+// Each sweep value is read as the top-level key onto a copy of the platform:
+// a fault_path value sets only the levers it names.
+TEST(Scenario, SweepValuesApplyOntoThePlatform) {
+  Result<Scenario> config = Parse(R"({
+    "functions": ["json"],
+    "ws_group_size": 256,
+    "fault_path": {"batched_uffd_install": true},
+    "sweep": {"fault_path": [{}, {"huge_pages": true, "uffd_batch_max_pages": 8}]}
+  })");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  ASSERT_EQ(config->sweep.size(), 2u);
+  EXPECT_EQ(config->sweep[0].label, "{}");
+  EXPECT_EQ(config->sweep[1].label, R"({"huge_pages":true,"uffd_batch_max_pages":8})");
+  for (const SweepValue& value : config->sweep) {
+    EXPECT_TRUE(value.platform.fault_path.batched_uffd_install) << value.label;
+    EXPECT_EQ(value.platform.ws_group_size, 256u) << value.label;
+  }
+  EXPECT_FALSE(config->sweep[0].platform.fault_path.huge_pages);
+  EXPECT_TRUE(config->sweep[1].platform.fault_path.huge_pages);
+  EXPECT_EQ(config->sweep[1].platform.fault_path.uffd_batch_max_pages.value(), 8u);
+  EXPECT_FALSE(config->platform.fault_path.huge_pages);
+
+  Result<Scenario> sizes =
+      Parse(R"({"functions": ["json"], "sweep": {"ws_group_size": [64, 4096]}})");
+  ASSERT_TRUE(sizes.ok()) << sizes.status().ToString();
+  ASSERT_EQ(sizes->sweep.size(), 2u);
+  EXPECT_EQ(sizes->sweep[0].label, "64");
+  EXPECT_EQ(sizes->sweep[1].platform.ws_group_size, 4096u);
 }
 
 TEST(Scenario, ClusterBlockMakesAClusterScenario) {
@@ -329,6 +377,54 @@ TEST(ExperimentRunner, ParallelismListMakesOneCellPerValue) {
   }
 }
 
+// The sweep is a cell axis between parallelism and system. A one-value sweep
+// equal to the base platform gives the cells of the scenario without it,
+// apart from the label, and only a labelled result shows the sweep column.
+TEST(ExperimentRunner, SweepMakesOneCellPerValue) {
+  const std::string base = R"({"functions": ["json"], "systems": ["reap", "faasnap"],
+                               "test_inputs": ["B"], "parallelism": [1, 2], "reps": 2,
+                               "merge_gap_pages": 16)";
+  Result<Scenario> config = Parse(base + R"(, "sweep": {"merge_gap_pages": [0, 16]}})");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  Result<ExperimentResults> results = RunExperiment(*config);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_EQ(results->cells.size(), 8u);
+  const char* expected[][3] = {{"1", "0", "reap"},  {"1", "0", "faasnap"},
+                               {"1", "16", "reap"}, {"1", "16", "faasnap"},
+                               {"2", "0", "reap"},  {"2", "0", "faasnap"},
+                               {"2", "16", "reap"}, {"2", "16", "faasnap"}};
+  for (size_t i = 0; i < results->cells.size(); ++i) {
+    const ExperimentCell& cell = results->cells[i];
+    EXPECT_EQ(std::to_string(cell.parallelism), expected[i][0]) << i;
+    EXPECT_EQ(cell.sweep, expected[i][1]) << i;
+    EXPECT_EQ(cell.system, expected[i][2]) << i;
+  }
+  // Each value's platform runs: merging across 16-page gaps leaves fewer
+  // loading-set regions than no merging.
+  EXPECT_GT(results->cells[0].loading_set_regions.mean(),
+            results->cells[2].loading_set_regions.mean());
+  EXPECT_NE(results->ToTable().find(" sweep "), std::string::npos);
+  EXPECT_NE(results->ToJson().find("\"sweep\":\"16\""), std::string::npos);
+
+  Result<Scenario> same = Parse(base + R"(, "sweep": {"merge_gap_pages": [16]}})");
+  Result<Scenario> plain = Parse(base + "}");
+  ASSERT_TRUE(same.ok() && plain.ok());
+  Result<ExperimentResults> swept = RunExperiment(*same);
+  Result<ExperimentResults> unswept = RunExperiment(*plain);
+  ASSERT_TRUE(swept.ok() && unswept.ok());
+  EXPECT_EQ(unswept->ToTable().find(" sweep "), std::string::npos);
+  EXPECT_EQ(unswept->ToJson().find("\"sweep\""), std::string::npos);
+  ASSERT_EQ(swept->cells.size(), unswept->cells.size());
+  for (size_t i = 0; i < swept->cells.size(); ++i) {
+    EXPECT_EQ(swept->cells[i].sweep, "16");
+    EXPECT_EQ(swept->cells[i].total_ms.mean(), unswept->cells[i].total_ms.mean()) << i;
+    EXPECT_EQ(swept->cells[i].total_ms.stddev(), unswept->cells[i].total_ms.stddev()) << i;
+    swept->cells[i].sweep.clear();
+  }
+  EXPECT_EQ(swept->ToJson(), unswept->ToJson());
+  EXPECT_EQ(swept->ToTable(), unswept->ToTable());
+}
+
 // Distinct snapshots share no page-cache pages: a Firecracker burst can no
 // longer warm the cache for its neighbours (Figure 10, right).
 TEST(ExperimentRunner, DistinctSnapshotsSlowAFirecrackerBurst) {
@@ -382,14 +478,37 @@ TEST(ExperimentRunner, CellFieldsAreTheInvocationReport) {
                   PagesToBytes(r.anon_resident_pages + r.page_cache_pages).value()) /
                   (1024.0 * 1024.0))
         << cell.system;
+    EXPECT_EQ(cell.loading_set_regions.mean(),
+              static_cast<double>(snapshot.loading_set.regions.size()))
+        << cell.system;
+    EXPECT_EQ(cell.loading_set_mib.mean(),
+              static_cast<double>(PagesToBytes(snapshot.loading_set.total_pages).value()) /
+                  (1024.0 * 1024.0))
+        << cell.system;
+    EXPECT_EQ(cell.mmap_calls.mean(), static_cast<double>(r.mmap_calls)) << cell.system;
+    EXPECT_EQ(cell.batch_installs.mean(), static_cast<double>(r.faults.batch_installs))
+        << cell.system;
+    EXPECT_EQ(cell.batch_installed_pages.mean(),
+              static_cast<double>(r.faults.batch_installed_pages.value()))
+        << cell.system;
+    EXPECT_EQ(cell.huge_installs.mean(), static_cast<double>(r.faults.huge_installs))
+        << cell.system;
+    EXPECT_EQ(cell.huge_splits.mean(), static_cast<double>(r.faults.huge_splits)) << cell.system;
+    EXPECT_EQ(cell.coalesced_pages.mean(), static_cast<double>(r.faults.coalesced_pages.value()))
+        << cell.system;
     EXPECT_GT(r.fetch_bytes.value(), 0u) << cell.system;
     EXPECT_GT(r.faults.fault_disk_requests, 0u) << cell.system;
+    EXPECT_GT(snapshot.loading_set.regions.size(), 0u) << cell.system;
+    EXPECT_GT(r.mmap_calls, 0u) << cell.system;
   }
   const std::string json = results->ToJson();
   for (const char* key : {"fetch_ms_mean", "fetch_mb_mean", "guest_pagefault_mb_mean",
                           "fault_ms_mean", "fault_wait_ms_mean", "major_faults_mean",
                           "inflight_waits_mean", "fault_block_requests_mean",
-                          "footprint_mib_mean"}) {
+                          "footprint_mib_mean", "loading_set_regions_mean",
+                          "loading_set_mib_mean", "mmap_calls_mean", "batch_installs_mean",
+                          "batch_installed_pages_mean", "huge_installs_mean",
+                          "huge_splits_mean", "coalesced_pages_mean"}) {
     EXPECT_NE(json.find(std::string("\"") + key + "\":"), std::string::npos) << key;
   }
 }

@@ -110,7 +110,7 @@ TEST_F(FaultEngineTest, FaultOnInFlightPageWaitsInsteadOfRereading) {
               .file_start = 0});
   // A loader-style read is already in flight for pages [100, 200).
   auto handle = cache_.BeginRead(kMemFile, PageRange{100, 100});
-  disk_.Read(100 * kPageSize, 100 * kPageSize, [&] { cache_.CompleteRead(handle); });
+  disk_.Read(100 * kPageSize, 100 * kPageSize, {}, [&](Status) { cache_.CompleteRead(handle); });
   auto [cls, elapsed] = AccessAndWait(150);
   EXPECT_EQ(cls, FaultClass::kInFlightWait);
   // The fault did not issue its own disk request.
@@ -133,9 +133,11 @@ class FakeUffdHandler : public UffdHandler {
  public:
   FakeUffdHandler(Simulation* sim, Duration delay) : sim_(sim), delay_(delay) {}
   void HandleFault(PageIndex guest_page,
-                   std::function<void(const Status&)> done) override {
+                   std::function<void(const Status&, PageRange)> done) override {
     pages.push_back(guest_page);
-    sim_->ScheduleAfter(delay_, [done = std::move(done)] { done(OkStatus()); });
+    sim_->ScheduleAfter(delay_, [guest_page, done = std::move(done)] {
+      done(OkStatus(), PageRange{guest_page, 1});
+    });
   }
   std::vector<PageIndex> pages;
 

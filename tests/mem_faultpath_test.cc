@@ -63,19 +63,9 @@ class FakeBatchedHandler : public UffdHandler {
   FakeBatchedHandler(Simulation* sim, Duration delay, PageRange run)
       : sim_(sim), delay_(delay), run_(run) {}
 
-  void HandleFault(PageIndex, std::function<void(const Status&)> done) override {
-    single_faults++;
-    sim_->ScheduleAfter(delay_, [done = std::move(done)] { done(OkStatus()); });
-  }
-
-  void HandleFaultBatched(PageIndex,
-                          std::function<void(const Status&, PageRange)> done) override {
-    batched_faults++;
+  void HandleFault(PageIndex, std::function<void(const Status&, PageRange)> done) override {
     sim_->ScheduleAfter(delay_, [run = run_, done = std::move(done)] { done(OkStatus(), run); });
   }
-
-  int single_faults = 0;
-  int batched_faults = 0;
 
  private:
   Simulation* sim_;
@@ -95,8 +85,6 @@ TEST_F(FaultPathTest, BatchedUffdFaultInstallsRunWithMarginalPerPageCost) {
 
   auto [cls, elapsed] = AccessAndWait(33);
   EXPECT_EQ(cls, FaultClass::kUffdHandled);
-  EXPECT_EQ(handler.batched_faults, 1);
-  EXPECT_EQ(handler.single_faults, 0);
   // One round trip for the batch; neighbors only cost the marginal copy.
   EXPECT_EQ(elapsed, delay + engine_->costs().uffd_round_trip +
                          engine_->costs().uffd_batch_per_page * 7 +
@@ -141,19 +129,11 @@ TEST_F(FaultPathTest, BatchedRunIsTrimmedToUninstalledPages) {
   EXPECT_EQ(space_.install_state(37), PageInstallState::kNotPresent);
 }
 
-TEST_F(FaultPathTest, HandlerWithoutBatchSupportFallsBackToSinglePage) {
+TEST_F(FaultPathTest, HandlerOfferingThePageAloneInstallsOnePage) {
   MakeEngine({.batched_uffd_install = true});
   space_.Map({.guest = {0, kSpacePages}, .kind = BackingKind::kFile, .file = kMemFile,
               .file_start = 0});
-  // Only overrides HandleFault; the default HandleFaultBatched forwards to it.
-  class SingleOnlyHandler : public UffdHandler {
-   public:
-    explicit SingleOnlyHandler(Simulation* sim) : sim_(sim) {}
-    void HandleFault(PageIndex, std::function<void(const Status&)> done) override {
-      sim_->ScheduleAfter(Duration::Micros(10), [done = std::move(done)] { done(OkStatus()); });
-    }
-    Simulation* sim_;
-  } handler(&sim_);
+  FakeBatchedHandler handler(&sim_, Duration::Micros(10), PageRange{40, 1});
   PageRangeSet region;
   region.Add(0, kSpacePages);
   engine_->RegisterUffd(region, &handler);
@@ -165,6 +145,28 @@ TEST_F(FaultPathTest, HandlerWithoutBatchSupportFallsBackToSinglePage) {
   EXPECT_EQ(engine_->metrics().batch_installs, 1u);
   EXPECT_EQ(engine_->metrics().batch_installed_pages.value(), 1u);
   EXPECT_EQ(space_.install_state(41), PageInstallState::kNotPresent);
+}
+
+// With the lever off the engine installs the faulting page alone, whatever run
+// the handler offers, at the single-page round-trip cost.
+TEST_F(FaultPathTest, LeverOffInstallsThePageAloneWhateverTheHandlerOffers) {
+  MakeEngine({});
+  space_.Map({.guest = {0, kSpacePages}, .kind = BackingKind::kFile, .file = kMemFile,
+              .file_start = 0});
+  FakeBatchedHandler handler(&sim_, Duration::Micros(10), PageRange{30, 8});
+  PageRangeSet region;
+  region.Add(0, kSpacePages);
+  engine_->RegisterUffd(region, &handler);
+
+  auto [cls, elapsed] = AccessAndWait(33);
+  EXPECT_EQ(cls, FaultClass::kUffdHandled);
+  EXPECT_EQ(elapsed, Duration::Micros(10) + engine_->costs().uffd_round_trip +
+                         engine_->uffd_vcpu_block_extra());
+  EXPECT_EQ(space_.install_state(33), PageInstallState::kPresent);
+  EXPECT_EQ(space_.install_state(32), PageInstallState::kNotPresent);
+  EXPECT_EQ(space_.install_state(34), PageInstallState::kNotPresent);
+  EXPECT_EQ(engine_->metrics().batch_installs, 0u);
+  EXPECT_EQ(space_.anon_copied_pages().value(), 1u);
 }
 
 TEST_F(FaultPathTest, HugeFaultInstallsWholeAnonymousRegion) {
@@ -249,7 +251,7 @@ TEST_F(FaultPathTest, CoalescedFaultRetiresWholeInFlightRun) {
               .file_start = 0});
   // A loader-style read for [100, 200) is in flight.
   auto handle = cache_.BeginRead(kMemFile, PageRange{100, 100});
-  disk_.Read(100 * kPageSize, 100 * kPageSize, [&] { cache_.CompleteRead(handle); });
+  disk_.Read(100 * kPageSize, 100 * kPageSize, {}, [&](Status) { cache_.CompleteRead(handle); });
 
   auto [cls, elapsed] = AccessAndWait(150);
   EXPECT_EQ(cls, FaultClass::kInFlightWait);
@@ -272,7 +274,7 @@ TEST_F(FaultPathTest, CoalescingOffRetiresOnlyTheFaultingPage) {
   space_.Map({.guest = {0, kSpacePages}, .kind = BackingKind::kFile, .file = kMemFile,
               .file_start = 0});
   auto handle = cache_.BeginRead(kMemFile, PageRange{100, 100});
-  disk_.Read(100 * kPageSize, 100 * kPageSize, [&] { cache_.CompleteRead(handle); });
+  disk_.Read(100 * kPageSize, 100 * kPageSize, {}, [&](Status) { cache_.CompleteRead(handle); });
 
   auto [cls, elapsed] = AccessAndWait(150);
   EXPECT_EQ(cls, FaultClass::kInFlightWait);

@@ -16,7 +16,7 @@ class BlockDeviceTest : public ::testing::Test {
 
 TEST_F(BlockDeviceTest, SingleSmallReadPaysBaseLatency) {
   SimTime done_at;
-  disk_.Read(0, kPageSize, [&] { done_at = sim_.now(); });
+  disk_.Read(0, kPageSize, {}, [&](Status) { done_at = sim_.now(); });
   sim_.Run();
   // 4 KiB at 1 GB/s = 4096 ns transfer, IOPS interval 4000 ns, base 50 us.
   // completion = max(4000, 4096) + 50000 = 54096 ns.
@@ -25,7 +25,7 @@ TEST_F(BlockDeviceTest, SingleSmallReadPaysBaseLatency) {
 
 TEST_F(BlockDeviceTest, LargeReadIsBandwidthBound) {
   SimTime done_at;
-  disk_.Read(0, MiB(100).value(), [&] { done_at = sim_.now(); });
+  disk_.Read(0, MiB(100).value(), {}, [&](Status) { done_at = sim_.now(); });
   sim_.Run();
   // 100 MiB at 1 GB/s = 104857600 ns transfer dominates base latency.
   EXPECT_EQ(done_at.nanos(), 104857600 + 50000);
@@ -36,13 +36,13 @@ TEST_F(BlockDeviceTest, BlockingSmallReadsAreSlow) {
   // is limited by base latency, not IOPS: ~18.5k reads/s on the test disk.
   int remaining = 10;
   SimTime last;
-  std::function<void()> next = [&] {
+  std::function<void(Status)> next = [&](Status) {
     last = sim_.now();
     if (--remaining > 0) {
-      disk_.Read(0, kPageSize, next);
+      disk_.Read(0, kPageSize, {}, next);
     }
   };
-  disk_.Read(0, kPageSize, next);
+  disk_.Read(0, kPageSize, {}, next);
   sim_.Run();
   EXPECT_EQ(last.nanos(), 10 * 54096);
 }
@@ -53,7 +53,7 @@ TEST_F(BlockDeviceTest, PipelinedSmallReadsSaturateIops) {
   int completed = 0;
   SimTime last;
   for (int i = 0; i < 1000; ++i) {
-    disk_.Read(static_cast<uint64_t>(i) * kPageSize, kPageSize, [&] {
+    disk_.Read(static_cast<uint64_t>(i) * kPageSize, kPageSize, {}, [&](Status) {
       ++completed;
       last = sim_.now();
     });
@@ -69,20 +69,21 @@ TEST_F(BlockDeviceTest, PipelinedLargeReadsSaturateBandwidth) {
   // 10 x 10 MiB issued at once finish at ~100 MiB / 1 GB/s.
   SimTime last;
   for (int i = 0; i < 10; ++i) {
-    disk_.Read(static_cast<uint64_t>(i) * MiB(10).value(), MiB(10).value(), [&] { last = sim_.now(); });
+    disk_.Read(static_cast<uint64_t>(i) * MiB(10).value(), MiB(10).value(), {},
+               [&](Status) { last = sim_.now(); });
   }
   sim_.Run();
   EXPECT_NEAR(static_cast<double>(last.nanos()), 104857600.0 + 50000.0, 1000.0);
 }
 
 TEST_F(BlockDeviceTest, StatsAccumulate) {
-  disk_.Read(0, kPageSize, [] {});
-  disk_.Read(kPageSize, MiB(1).value(), [] {});
+  disk_.Read(0, kPageSize, {}, [](Status) {});
+  disk_.Read(kPageSize, MiB(1).value(), {}, [](Status) {});
   sim_.Run();
   EXPECT_EQ(disk_.stats().read_requests, 2u);
   EXPECT_EQ(disk_.stats().bytes_read, kPageSize + MiB(1).value());
   BlockDeviceStats before = disk_.stats();
-  disk_.Read(0, kPageSize, [] {});
+  disk_.Read(0, kPageSize, {}, [](Status) {});
   sim_.Run();
   BlockDeviceStats delta = disk_.stats() - before;
   EXPECT_EQ(delta.read_requests, 1u);
@@ -94,7 +95,7 @@ TEST_F(BlockDeviceTest, StatsAccumulate) {
 TEST_F(BlockDeviceTest, EstimateMatchesActual) {
   const SimTime estimate = disk_.EstimateCompletion(MiB(2).value());
   SimTime actual;
-  disk_.Read(0, MiB(2).value(), [&] { actual = sim_.now(); });
+  disk_.Read(0, MiB(2).value(), {}, [&](Status) { actual = sim_.now(); });
   sim_.Run();
   EXPECT_EQ(estimate, actual);
 }
@@ -115,7 +116,7 @@ TEST(BlockDeviceProfiles, NvmeColdFaultLandsInMajorFaultBand) {
   p.jitter = 0.0;
   BlockDevice nvme(&sim, p);
   SimTime done;
-  nvme.Read(0, kPageSize, [&] { done = sim.now(); });
+  nvme.Read(0, kPageSize, {}, [&](Status) { done = sim.now(); });
   sim.Run();
   EXPECT_GE(done.nanos(), 32000);
   EXPECT_LE(done.nanos(), 512000);
@@ -128,7 +129,7 @@ TEST(BlockDeviceJitter, JitterIsDeterministicPerSeed) {
     Simulation sim;
     BlockDevice disk(&sim, p, seed);
     SimTime done;
-    disk.Read(0, kPageSize, [&] { done = sim.now(); });
+    disk.Read(0, kPageSize, {}, [&](Status) { done = sim.now(); });
     sim.Run();
     return done.nanos();
   };

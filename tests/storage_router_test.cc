@@ -30,7 +30,7 @@ TEST_F(StorageRouterTest, FirstDeviceIsDefault) {
 }
 
 TEST_F(StorageRouterTest, UnassignedFilesReadFromLocal) {
-  router_.Read(7, 0, kPageSize, [] {});
+  router_.ReadWithStatus(7, 0, kPageSize, [](Status) {});
   sim_.Run();
   EXPECT_EQ(local_.stats().read_requests, 1u);
   EXPECT_EQ(remote_.stats().read_requests, 0u);
@@ -39,8 +39,8 @@ TEST_F(StorageRouterTest, UnassignedFilesReadFromLocal) {
 TEST_F(StorageRouterTest, AssignedFilesReadFromTheirDevice) {
   router_.AssignFile(7, remote_id_);
   EXPECT_EQ(router_.DeviceFor(7), remote_id_);
-  router_.Read(7, 0, kPageSize, [] {});
-  router_.Read(8, 0, kPageSize, [] {});  // unassigned -> local
+  router_.ReadWithStatus(7, 0, kPageSize, [](Status) {});
+  router_.ReadWithStatus(8, 0, kPageSize, [](Status) {});  // unassigned -> local
   sim_.Run();
   EXPECT_EQ(remote_.stats().read_requests, 1u);
   EXPECT_EQ(local_.stats().read_requests, 1u);
@@ -50,8 +50,8 @@ TEST_F(StorageRouterTest, RemoteReadsAreSlower) {
   SimTime local_done;
   SimTime remote_done;
   router_.AssignFile(2, remote_id_);
-  router_.Read(1, 0, kPageSize, [&] { local_done = sim_.now(); });
-  router_.Read(2, 0, kPageSize, [&] { remote_done = sim_.now(); });
+  router_.ReadWithStatus(1, 0, kPageSize, [&](Status) { local_done = sim_.now(); });
+  router_.ReadWithStatus(2, 0, kPageSize, [&](Status) { remote_done = sim_.now(); });
   sim_.Run();
   EXPECT_LT(local_done, remote_done);
 }
@@ -69,7 +69,7 @@ TEST_F(StorageRouterTest, ReassignmentMoves) {
 
 TEST(StorageRouterDeathTest, InvalidUsageAborts) {
   StorageRouter router;
-  EXPECT_DEATH(router.Read(1, 0, kPageSize, [] {}), "FAASNAP_CHECK");
+  EXPECT_DEATH(router.ReadWithStatus(1, 0, kPageSize, [](Status) {}), "FAASNAP_CHECK");
   Simulation sim;
   BlockDevice disk(&sim, TestDiskProfile());
   router.AddDevice(&disk);

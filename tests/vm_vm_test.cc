@@ -333,10 +333,13 @@ class PreadMonitor : public UffdHandler {
  public:
   explicit PreadMonitor(FaultEngine* engine) : engine_(engine) {}
 
-  void HandleFault(PageIndex guest_page, std::function<void(const Status&)> done) override {
+  void HandleFault(PageIndex guest_page,
+                   std::function<void(const Status&, PageRange)> done) override {
     engine_->EnsureFilePage(kMemFile, guest_page - kFileFirst, /*charge_to_faults=*/true,
-                            [done = std::move(done)](const Status& status,
-                                                     PageCache::PageState) { done(status); });
+                            [guest_page, done = std::move(done)](const Status& status,
+                                                                 PageCache::PageState) {
+                              done(status, PageRange{guest_page, 1});
+                            });
   }
 
  private:
