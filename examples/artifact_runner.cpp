@@ -4,8 +4,9 @@
 // `test.py test-2inputs.json` etc.; this binary does the same against the
 // simulation platform:
 //
-//   ./build/examples/artifact_runner configs/test-breakdown.json        # Fig 1
-//   ./build/examples/artifact_runner configs/test-2inputs.json          # E1, Figs 6-7, 7.3
+//   ./build/examples/artifact_runner configs/test-breakdown.json        # Figs 1-2
+//   ./build/examples/artifact_runner configs/test-2inputs.json          # E1, Figs 6-7, Tabs 1-2,
+//                                                                       #   7.2 costs, 7.3
 //   ./build/examples/artifact_runner configs/test-2inputs-ba.json       # Fig 6, B->A
 //   ./build/examples/artifact_runner configs/test-6inputs.json          # E2, Fig 8
 //   ./build/examples/artifact_runner configs/test-ablation.json         # Fig 9, Tab 3
@@ -16,14 +17,16 @@
 //   ./build/examples/artifact_runner configs/test-merge-gap.json        # 4.6, gap sweep
 //   ./build/examples/artifact_runner configs/test-faultpath.json        # 7.1, levers
 //   ./build/examples/artifact_runner configs/test-faultpath-burst.json  # 7.1, coalescing
+//   ./build/examples/artifact_runner configs/test-tiered-storage.json   # 7.2, placement
 //   ./build/examples/artifact_runner --json configs/test-2inputs.json   # machine-readable
 //   ./build/examples/artifact_runner configs/test-cluster.json          # sharded cluster
 //
 // A restore matrix prints a results table (or, with --json, one JSON object
 // per cell that adds the fetch, page-fault, block-request and footprint means
-// Figure 9, Table 3 and section 7.3 read, and the loading-set, mmap and
-// fault-path lever means the sweeps read); a cluster scenario prints its
-// ClusterStats summary document.
+// Figure 9, Table 3 and section 7.3 read, the loading-set, mmap and
+// fault-path lever means the sweeps read, the page-set sizes Tables 1 and 2
+// and section 7.2 read, and Figure 2's fault-latency buckets); a cluster
+// scenario prints its ClusterStats summary document.
 //
 // --trace-out=PATH / --metrics-out=PATH / --timeline-out=PATH /
 // --forensics-out=PATH write the Perfetto trace, metrics snapshot, windowed

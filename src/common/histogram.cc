@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "src/common/status.h"
 
@@ -120,43 +119,6 @@ Duration Log2Histogram::bucket_upper(int i) const {
     edge *= 2;
   }
   return Duration::Nanos(edge);
-}
-
-std::string Log2Histogram::BucketLabel(int i) const {
-  char buf[64];
-  if (i + 1 == static_cast<int>(counts_.size())) {
-    std::snprintf(buf, sizeof(buf), ">= %s",
-                  bucket_upper(i - 1).ToString().c_str());
-  } else if (i == 0) {
-    std::snprintf(buf, sizeof(buf), "< %s", bucket_upper(0).ToString().c_str());
-  } else {
-    std::snprintf(buf, sizeof(buf), "%s - %s", bucket_upper(i - 1).ToString().c_str(),
-                  bucket_upper(i).ToString().c_str());
-  }
-  return buf;
-}
-
-std::string Log2Histogram::ToString() const {
-  int64_t max_count = 1;
-  for (int64_t c : counts_) {
-    max_count = std::max(max_count, c);
-  }
-  std::string out;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    char line[160];
-    // Log-scale bar, mirroring the paper's log y-axis.
-    const double frac = counts_[i] == 0
-                            ? 0.0
-                            : std::log2(1.0 + static_cast<double>(counts_[i])) /
-                                  std::log2(1.0 + static_cast<double>(max_count));
-    const int bar = static_cast<int>(frac * 40);
-    std::snprintf(line, sizeof(line), "  %-22s %8lld  %.*s\n",
-                  BucketLabel(static_cast<int>(i)).c_str(),
-                  static_cast<long long>(counts_[i]), bar,
-                  "########################################");
-    out += line;
-  }
-  return out;
 }
 
 void RunningStats::Record(double v) {

@@ -8,7 +8,6 @@
 #define FAASNAP_SRC_COMMON_HISTOGRAM_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common/sim_time.h"
@@ -45,10 +44,6 @@ class Log2Histogram {
   int64_t bucket_count(int i) const { return counts_[static_cast<size_t>(i)]; }
   // Upper edge of bucket i (the overflow bucket reports Duration::Nanos(INT64_MAX)).
   Duration bucket_upper(int i) const;
-  std::string BucketLabel(int i) const;
-
-  // Multi-line "label: count" rendering with a proportional bar, for bench output.
-  std::string ToString() const;
 
  private:
   Duration lower_;  // upper edge of bucket 0

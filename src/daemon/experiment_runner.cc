@@ -62,7 +62,39 @@ bool HasSweep(const std::vector<ExperimentCell>& cells) {
                      [](const ExperimentCell& cell) { return !cell.sweep.empty(); });
 }
 
-void RecordReport(ExperimentCell* cell, const FunctionSnapshot& snapshot,
+// The restored snapshot's fields of a cell, measured once per recorded
+// snapshot and recorded once per invocation.
+struct SnapshotSizes {
+  double loading_set_regions = 0;
+  double loading_set_mib = 0;
+  double ws_nonzero_mib = 0;
+  double cold_set_mib = 0;
+  double released_set_mib = 0;
+  double unused_set_mib = 0;
+  double reap_ws_mib = 0;
+  double vanilla_nonzero_mib = 0;
+};
+
+SnapshotSizes MeasureSnapshot(const FunctionSnapshot& snapshot) {
+  const auto mib = [](uint64_t pages) {
+    return Mebibytes(PagesToBytes(PageCount::FromPages(pages)));
+  };
+  const PageRangeSet ws = snapshot.ws_groups.AllPages();
+  const PageRangeSet& nonzero = snapshot.memory_sanitized.nonzero;
+  const PageRangeSet zero = snapshot.memory_sanitized.ZeroRegions();
+  SnapshotSizes sizes;
+  sizes.loading_set_regions = Count(snapshot.loading_set.regions.size());
+  sizes.loading_set_mib = mib(snapshot.loading_set.total_pages.value());
+  sizes.ws_nonzero_mib = mib(ws.Intersect(nonzero).page_count());
+  sizes.cold_set_mib = mib(nonzero.Subtract(ws).page_count());
+  sizes.released_set_mib = mib(ws.Intersect(zero).page_count());
+  sizes.unused_set_mib = mib(zero.Subtract(ws).page_count());
+  sizes.reap_ws_mib = mib(snapshot.reap_ws.size_pages().value());
+  sizes.vanilla_nonzero_mib = mib(snapshot.memory_vanilla.nonzero.page_count());
+  return sizes;
+}
+
+void RecordReport(ExperimentCell* cell, const SnapshotSizes& snapshot,
                   const InvocationReport& report) {
   cell->total_ms.Record(report.total_time().millis());
   cell->setup_ms.Record(report.setup_time.millis());
@@ -78,8 +110,8 @@ void RecordReport(ExperimentCell* cell, const FunctionSnapshot& snapshot,
   cell->fault_block_requests.Record(static_cast<double>(report.faults.fault_disk_requests));
   cell->footprint_mib.Record(
       Mebibytes(PagesToBytes(report.anon_resident_pages + report.page_cache_pages)));
-  cell->loading_set_regions.Record(Count(snapshot.loading_set.regions.size()));
-  cell->loading_set_mib.Record(Mebibytes(PagesToBytes(snapshot.loading_set.total_pages)));
+  cell->loading_set_regions.Record(snapshot.loading_set_regions);
+  cell->loading_set_mib.Record(snapshot.loading_set_mib);
   cell->mmap_calls.Record(Count(report.mmap_calls));
   const FaultMetrics& faults = report.faults;
   cell->batch_installs.Record(Count(faults.batch_installs));
@@ -87,6 +119,13 @@ void RecordReport(ExperimentCell* cell, const FunctionSnapshot& snapshot,
   cell->huge_installs.Record(Count(faults.huge_installs));
   cell->huge_splits.Record(Count(faults.huge_splits));
   cell->coalesced_pages.Record(Count(faults.coalesced_pages.value()));
+  cell->fault_latency.Merge(faults.latency_histogram);
+  cell->ws_nonzero_mib.Record(snapshot.ws_nonzero_mib);
+  cell->cold_set_mib.Record(snapshot.cold_set_mib);
+  cell->released_set_mib.Record(snapshot.released_set_mib);
+  cell->unused_set_mib.Record(snapshot.unused_set_mib);
+  cell->reap_ws_mib.Record(snapshot.reap_ws_mib);
+  cell->vanilla_nonzero_mib.Record(snapshot.vanilla_nonzero_mib);
   TallyOutcome(cell, report);
 }
 
@@ -121,9 +160,11 @@ void RunRep(const Scenario& scenario, const PlatformConfig& cell_platform,
   const WorkloadInput record_input =
       ResolveInput(scenario.record_input, spec, /*content_seed=*/0xA);
   std::vector<FunctionSnapshot> snapshots;
+  std::vector<SnapshotSizes> sizes;
   const int snapshot_count = scenario.distinct_snapshots ? parallelism : 1;
   for (int i = 0; i < snapshot_count; ++i) {
     snapshots.push_back(platform.Record(generator, record_input));
+    sizes.push_back(MeasureSnapshot(snapshots.back()));
   }
   platform.DropCaches();
 
@@ -134,6 +175,7 @@ void RunRep(const Scenario& scenario, const PlatformConfig& cell_platform,
   auto snapshot_of = [&](uint64_t i) -> const FunctionSnapshot& {
     return snapshots[i % snapshots.size()];
   };
+  auto sizes_of = [&](uint64_t i) -> const SnapshotSizes& { return sizes[i % sizes.size()]; };
   auto trace_of = [&](uint64_t i) {
     WorkloadInput member = test_input;
     if (!spec.fixed_input) {
@@ -153,7 +195,7 @@ void RunRep(const Scenario& scenario, const PlatformConfig& cell_platform,
   if (!scenario.admission_enabled) {
     for (int i = 0; i < parallelism; ++i) {
       platform.InvokeAsync(snapshot_of(i), system, trace_of(i), [&, i](InvocationReport report) {
-        RecordReport(cell, snapshot_of(i), report);
+        RecordReport(cell, sizes_of(i), report);
         ++resolved;
       });
     }
@@ -166,7 +208,7 @@ void RunRep(const Scenario& scenario, const PlatformConfig& cell_platform,
       (void)wait;  // queue time is visible in the report's setup span
       platform.InvokeAsync(snapshot_of(request.id), system, trace_of(request.id),
                            [&, request](InvocationReport report) {
-                             RecordReport(cell, snapshot_of(request.id), report);
+                             RecordReport(cell, sizes_of(request.id), report);
                              ++resolved;
                              admission->OnComplete(request);
                            });
@@ -378,7 +420,21 @@ std::string ExperimentResults::ToJson() const {
         .Field("batch_installed_pages_mean", cell.batch_installed_pages.mean())
         .Field("huge_installs_mean", cell.huge_installs.mean())
         .Field("huge_splits_mean", cell.huge_splits.mean())
-        .Field("coalesced_pages_mean", cell.coalesced_pages.mean());
+        .Field("coalesced_pages_mean", cell.coalesced_pages.mean())
+        .Field("ws_nonzero_mib_mean", cell.ws_nonzero_mib.mean())
+        .Field("cold_set_mib_mean", cell.cold_set_mib.mean())
+        .Field("released_set_mib_mean", cell.released_set_mib.mean())
+        .Field("unused_set_mib_mean", cell.unused_set_mib.mean())
+        .Field("reap_ws_mib_mean", cell.reap_ws_mib.mean())
+        .Field("vanilla_nonzero_mib_mean", cell.vanilla_nonzero_mib.mean());
+    // The mean count per invocation in each bucket, overflow last (0 when
+    // every invocation was shed).
+    const auto invocations = static_cast<double>(std::max<int64_t>(cell.total_ms.count(), 1));
+    json.Key("fault_latency_buckets_mean").BeginArray();
+    for (int i = 0; i < cell.fault_latency.num_buckets(); ++i) {
+      json.Value(static_cast<double>(cell.fault_latency.bucket_count(i)) / invocations);
+    }
+    json.EndArray();
     if (!cell.all_ok()) {
       json.Field("ok", cell.ok)
           .Field("degraded", cell.degraded)

@@ -17,6 +17,7 @@
 
 #include "src/common/histogram.h"
 #include "src/daemon/scenario.h"
+#include "src/metrics/report.h"
 
 namespace faasnap {
 
@@ -54,6 +55,22 @@ struct ExperimentCell {
   RunningStats huge_installs;
   RunningStats huge_splits;
   RunningStats coalesced_pages;
+  // Figure 2: fault-handling times merged over the cell's invocations, in
+  // FaultMetrics' buckets (0.5 us lower edge, 11 doublings plus overflow).
+  Log2Histogram fault_latency = FaultMetrics().latency_histogram;
+  // Tables 1 and 2 and section 7.2: the restored snapshot's page sets, in MiB.
+  // Table 1's four sets partition guest memory: the working set's sanitized
+  // non-zero pages (the loading set before region merging), the cold set
+  // (non-zero outside the working set), the released set (zero inside it) and
+  // the unused set (zero outside it). Table 2's recorded working set is
+  // ws_nonzero + released; section 7.2's sanitized sparse file is
+  // ws_nonzero + cold, and its vanilla file the unsanitized non-zero pages.
+  RunningStats ws_nonzero_mib;
+  RunningStats cold_set_mib;
+  RunningStats released_set_mib;
+  RunningStats unused_set_mib;
+  RunningStats reap_ws_mib;
+  RunningStats vanilla_nonzero_mib;
   // Outcome tallies across the cell's invocations (all kOk on fault-free runs).
   int64_t ok = 0;
   int64_t degraded = 0;

@@ -20,7 +20,8 @@ namespace {
 // unchanged. A present key of the wrong JSON type or outside the accepted
 // range leaves it unchanged too and records InvalidArgument naming the key by
 // its dotted path. Readers of nested objects share the first recorded error,
-// so a parse reads every key and checks the error once.
+// so a parse reads every key and checks the error once. Each reader remembers
+// the keys it looked up, so RejectUnknownKeys can name a misspelt one.
 class FieldReader {
  public:
   FieldReader(const JsonValue& node, std::string path, Status* error)
@@ -34,6 +35,18 @@ class FieldReader {
 
   // This object's members.
   const JsonObject& members() const { return node_.object(); }
+
+  bool Has(const char* key) { return Find(key) != nullptr; }
+
+  // Fails on the first member no read has looked up: without this check a
+  // misspelt key would run silently as its default.
+  void RejectUnknownKeys() {
+    for (const auto& [key, value] : members()) {
+      if (looked_up_.count(key) == 0) {
+        return Fail(key, "unknown key");
+      }
+    }
+  }
 
   // A reader of `node` at this reader's path, sharing its error.
   FieldReader Over(const JsonValue& node) const { return FieldReader(node, path_, error_); }
@@ -162,7 +175,8 @@ class FieldReader {
  private:
   static constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  const JsonValue* Find(const char* key) const {
+  const JsonValue* Find(const char* key) {
+    looked_up_.insert(key);
     const JsonObject& members = node_.object();
     auto it = members.find(key);
     return it == members.end() ? nullptr : &it->second;
@@ -210,6 +224,7 @@ class FieldReader {
   const JsonValue& node_;
   std::string path_;
   Status* error_;
+  std::set<std::string> looked_up_;
 };
 
 Result<TestInputSpec> ParseTestInput(const std::string& text) {
@@ -261,8 +276,24 @@ Result<BlockDeviceProfile> ParseDevice(const std::string& name) {
   return InvalidArgumentError("must be nvme or ebs");
 }
 
+Result<StorageTier> ParseTier(const std::string& name) {
+  if (name == "local") {
+    return StorageTier::kLocal;
+  }
+  if (name == "remote") {
+    return StorageTier::kRemote;
+  }
+  return InvalidArgumentError("must be local or remote");
+}
+
+bool AnyRemote(const SnapshotPlacement& placement) {
+  return placement.memory_files == StorageTier::kRemote ||
+         placement.loading_set == StorageTier::kRemote ||
+         placement.reap_ws == StorageTier::kRemote;
+}
+
 // Device, cores, guest vCPUs, FaaSnap tunables, disk scheduler, loader,
-// readahead, fault path and chaos.
+// readahead, fault path, snapshot placement and chaos.
 void ReadPlatform(FieldReader& in, uint64_t base_seed, PlatformConfig* out) {
   in.Parse("device", &out->disk, ParseDevice);
   in.Int("host_cores", &out->host_cores, 1);
@@ -303,6 +334,15 @@ void ReadPlatform(FieldReader& in, uint64_t base_seed, PlatformConfig* out) {
     if (fp.huge_density_threshold == 0.0) {
       fault_path->Fail("huge_density_threshold", "must be in (0, 1]");
     }
+    fault_path->RejectUnknownKeys();
+  }
+
+  if (std::optional<FieldReader> placement = in.Object("placement")) {
+    SnapshotPlacement& p = out->placement;
+    placement->Parse("memory_files", &p.memory_files, ParseTier);
+    placement->Parse("loading_set", &p.loading_set, ParseTier);
+    placement->Parse("reap_ws", &p.reap_ws, ParseTier);
+    placement->RejectUnknownKeys();
   }
 
   if (std::optional<FieldReader> chaos = in.Object("chaos")) {
@@ -324,15 +364,19 @@ void ReadPlatform(FieldReader& in, uint64_t base_seed, PlatformConfig* out) {
     chaos->Micros("read_deadline_us", &p.read_deadline);
     chaos->Int("breaker_failure_threshold", &p.breaker_failure_threshold, 1);
     chaos->Micros("breaker_open_for_us", &p.breaker_open_for);
-    // Outage windows need a remote device to hit: provision the Figure 11
-    // tiered setup (memory files on the remote/EBS tier) when outages are on.
-    if (c.enabled && c.remote_outage_mean_gap > Duration::Zero() && !out->remote_disk) {
-      out->remote_disk = EbsIo2Profile();
-      out->placement.memory_files = StorageTier::kRemote;
-    }
+    chaos->RejectUnknownKeys();
   }
-  if (out->remote_disk.has_value()) {
-    out->remote_disk->sched = sched;  // one set of scheduler knobs governs both tiers
+
+  // Any remote tier lives on the EBS io2 device (section 6.7); one set of
+  // scheduler knobs governs both tiers. Without one there is no remote device.
+  out->remote_disk.reset();
+  if (AnyRemote(out->placement)) {
+    out->remote_disk = EbsIo2Profile();
+    out->remote_disk->sched = sched;
+  } else if (out->chaos.enabled && out->chaos.remote_outage_mean_gap > Duration::Zero()) {
+    in.Fail("chaos.remote_outage_mean_gap_us",
+            "outages need a remote tier (set placement.memory_files, loading_set or reap_ws "
+            "to remote)");
   }
 }
 
@@ -391,8 +435,10 @@ void ReadSweep(FieldReader& in, const PlatformConfig& base, uint64_t base_seed,
     return in.Fail("sweep", "must have exactly one key");
   }
   const auto& [key, values] = *sweep->members().begin();
-  if (key != "ws_group_size" && key != "merge_gap_pages" && key != "fault_path") {
-    return sweep->Fail(key, "cannot be swept (use ws_group_size, merge_gap_pages or fault_path)");
+  if (key != "ws_group_size" && key != "merge_gap_pages" && key != "fault_path" &&
+      key != "placement") {
+    return sweep->Fail(
+        key, "cannot be swept (use ws_group_size, merge_gap_pages, fault_path or placement)");
   }
   if (!values.is_array() || values.array().empty()) {
     return sweep->Fail(key, "must be a non-empty array");
@@ -421,10 +467,12 @@ void ReadCluster(FieldReader& in, ClusterScenario* out) {
     router->Parse("policy", &config.router.policy, ParseRoutingPolicy);
     router->Int("seed", &config.router.seed);
     router->Int("spill_outstanding", &config.router.spill_outstanding, 1);
+    router->RejectUnknownKeys();
   }
   if (std::optional<FieldReader> host = in.Object("host")) {
     host->Bytes("warm_pool_budget_mib", &config.host.warm_pool_budget_bytes, kMiB, 1);
     host->Micros("keep_warm_us", &config.host.keep_warm);
+    host->RejectUnknownKeys();
   }
   if (std::optional<FieldReader> workload = in.Object("workload")) {
     ArrivalMixConfig& mix = out->mix;
@@ -450,7 +498,9 @@ void ReadCluster(FieldReader& in, ClusterScenario* out) {
                     out->arrival_count, kMaxArrivalGapPerMean);
       workload->Fail("mean_gap_us", message);
     }
+    workload->RejectUnknownKeys();
   }
+  in.RejectUnknownKeys();
 }
 
 }  // namespace
@@ -478,6 +528,7 @@ Result<Scenario> ParseScenario(const JsonValue& root) {
     admission->Micros("queue_deadline_us", &s.admission.queue_deadline);
     admission->Bytes("memory_budget_mib", &s.admission.memory_budget_bytes, kMiB);
     admission->Number("fairness_share", &s.admission.fairness_share, 0.0, 1.0);
+    admission->RejectUnknownKeys();
   }
 
   in.List("systems", &s.systems, ParseRestoreMode);
@@ -501,16 +552,18 @@ Result<Scenario> ParseScenario(const JsonValue& root) {
     forensics->Int("slowest_k", &s.forensics_config.slowest_k);
     forensics->Int("max_non_ok", &s.forensics_config.max_non_ok);
     forensics->Int("buffer_capacity", &s.forensics_config.buffer_capacity, 1);
+    forensics->RejectUnknownKeys();
   }
 
   if (std::optional<FieldReader> cluster = in.Object("cluster")) {
     ReadCluster(*cluster, &s.cluster.emplace());
   }
-  if (s.cluster.has_value() && root.Has("sweep")) {
+  if (s.cluster.has_value() && in.Has("sweep")) {
     in.Fail("sweep", "is not supported in a cluster scenario");
   } else {
     ReadSweep(in, s.platform, s.base_seed, &s.sweep);
   }
+  in.RejectUnknownKeys();
   RETURN_IF_ERROR(error);
   return s;
 }

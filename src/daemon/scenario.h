@@ -11,7 +11,8 @@
 //
 // Every key is optional unless noted. An absent key keeps its default. A
 // present key of the wrong JSON type, or outside the range its consumer
-// accepts, is InvalidArgument naming the key. Units follow the key suffix:
+// accepts, is InvalidArgument naming the key, and so is a key this schema
+// does not list, at any level. Units follow the key suffix:
 // `_us` microseconds, `_kib`/`_mib` KiB/MiB, `_pages` 4 KiB pages; a value
 // whose conversion would overflow is out of range.
 // {
@@ -43,6 +44,11 @@
 //     "huge_density_threshold": 0.9,            // in (0, 1]
 //     "fault_coalescing": false
 //   },
+//   "placement": {                              // section 7.2's tiers, all local by
+//     "memory_files": "local",                  //   default: "local" | "remote". Any
+//     "loading_set": "local",                   //   remote tier puts an EBS io2 device
+//     "reap_ws": "local"                        //   beside "device"; without one there
+//   },                                          //   is no remote device
 //   "chaos": {                                  // deterministic fault injection
 //     "enabled": true,                          // default true when block present
 //     "seed": 42,
@@ -52,8 +58,8 @@
 //     "corrupt_file_rate": 0.1,                 // per-registered-file corruption
 //     "loader_stall_rate": 0.05,                // per-chunk loader stall
 //     "loader_stall_us": 1000,
-//     "remote_outage_mean_gap_us": 50000,       // 0 disables outages; > 0 also
-//     "remote_outage_duration_us": 5000,        //   provisions a remote tier
+//     "remote_outage_mean_gap_us": 50000,       // 0 disables outages; > 0 needs a
+//     "remote_outage_duration_us": 5000,        //   remote tier in "placement"
 //     "spare_record_phase": true,
 //     "max_attempts": 4,                        // storage retry/breaker policy
 //     "read_deadline_us": 40000,
@@ -81,12 +87,13 @@
 //                                               //   per burst member when distinct
 //   "sweep": {"ws_group_size": [64, 1024]},     // one more cell axis, beside parallelism:
 //                                               //   exactly one of ws_group_size,
-//                                               //   merge_gap_pages or fault_path, with a
-//                                               //   non-empty list of distinct values.
-//                                               //   Each value is read as the top-level
-//                                               //   key onto a copy of the platform, so
-//                                               //   a fault_path value sets only the
-//                                               //   levers it names. Cells are labelled
+//                                               //   merge_gap_pages, fault_path or
+//                                               //   placement, with a non-empty list of
+//                                               //   distinct values. Each value is read
+//                                               //   as the top-level key onto a copy of
+//                                               //   the platform, so a fault_path or
+//                                               //   placement value sets only the levers
+//                                               //   or tiers it names. Cells are labelled
 //                                               //   with the value's compact JSON text.
 //   "trace_out": "trace.json",                  // Perfetto/Chrome trace export
 //   "metrics_out": "metrics.json",              // metrics registry snapshot
@@ -178,7 +185,8 @@ struct Scenario {
   std::vector<FunctionSpec> functions;
 
   // Platform knobs resolved from the shared keys (device, cores, guest vCPUs,
-  // FaaSnap tunables, fault path, chaos); platform.seed is base_seed.
+  // FaaSnap tunables, fault path, placement, chaos); platform.seed is
+  // base_seed.
   PlatformConfig platform;
   uint64_t base_seed = 1;
 

@@ -236,22 +236,29 @@ FaultEngine::RunStop FaultEngine::AccessRun(PageRange run, uint64_t* next, Durat
                                             bool burst_ended, bool may_advance,
                                             RunLookups* lookups) {
   const bool has_burst = burst > Duration::Zero();
+  // No-faults are counted (including the registry counter) but never enter
+  // the handling-time histograms: a zero-duration sample per touched page
+  // would drown the real fault latencies in the percentile summaries. The
+  // registry counter takes this call's no-faults in one add at each exit,
+  // before anything that could end the invocation.
+  const int64_t no_faults_at_entry = metrics_.count(FaultClass::kNoFault);
+  const auto count_present = [&] {
+    if (class_counters_[0] != nullptr &&
+        metrics_.count(FaultClass::kNoFault) > no_faults_at_entry) {
+      class_counters_[0]->Add(metrics_.count(FaultClass::kNoFault) - no_faults_at_entry);
+    }
+  };
   for (bool ended = burst_ended; *next < run.count; ended = false) {
     // The burst ends before the page is classified: a burst that cannot end in
     // line returns here, and the page is classified once, after its event.
     if (!ended && has_burst && (!may_advance || !sim_->TryFastForward(sim_->now() + burst))) {
+      count_present();
       return RunStop::kBurst;
     }
     const PageIndex page = run.first + (*next)++;
     const PageInstallState state = space_->install_state(page);
     if (state == PageInstallState::kPresent) {
-      // No-faults are counted (including the registry counter) but never enter
-      // the handling-time histograms: a zero-duration sample per touched page
-      // would drown the real fault latencies in the percentile summaries.
       metrics_.RecordFault(FaultClass::kNoFault, Duration::Zero());
-      if (class_counters_[0] != nullptr) {
-        class_counters_[0]->Add(1);
-      }
       if (observer_) {
         observer_(page, FaultClass::kNoFault);
       }
@@ -274,6 +281,7 @@ FaultEngine::RunStop FaultEngine::AccessRun(PageRange run, uint64_t* next, Durat
     } else {
       // Not present. userfaultfd interception takes priority over the kernel path.
       if (uffd_handler_ != nullptr && uffd_region_.Contains(page)) {
+        count_present();
         StartUffdFault(page, fault_start, fault_span);
         return RunStop::kFault;
       }
@@ -313,6 +321,7 @@ FaultEngine::RunStop FaultEngine::AccessRun(PageRange run, uint64_t* next, Durat
           if (backing.file != lookups->file || !lookups->present.Contains(backing.file_page)) {
             const PageCache::PageLookup cached = cache_->Lookup(backing.file, backing.file_page);
             if (cached.state != PageCache::PageState::kPresent) {
+              count_present();
               StartFileFault(page, lookups->mapping, cached.state, split_extra, fault_start,
                              fault_span);
               return RunStop::kFault;
@@ -339,9 +348,11 @@ FaultEngine::RunStop FaultEngine::AccessRun(PageRange run, uint64_t* next, Durat
       }
       continue;
     }
+    count_present();
     ScheduleRetire(retire, cost);
     return RunStop::kFault;
   }
+  count_present();
   return RunStop::kDone;
 }
 

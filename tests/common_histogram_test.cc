@@ -73,14 +73,6 @@ TEST(Log2Histogram, ResetClearsEverything) {
   EXPECT_EQ(h.total_time(), Duration::Zero());
 }
 
-TEST(Log2Histogram, ToStringContainsBars) {
-  Log2Histogram h = Fig2Histogram();
-  for (int i = 0; i < 100; ++i) h.Record(Duration::Micros(3));
-  std::string s = h.ToString();
-  EXPECT_NE(s.find("#"), std::string::npos);
-  EXPECT_NE(s.find("100"), std::string::npos);
-}
-
 TEST(RunningStats, Basic) {
   RunningStats s;
   s.Record(1.0);

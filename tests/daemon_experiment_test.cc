@@ -141,6 +141,38 @@ TEST(Scenario, RejectsHostileValues) {
        R"({"functions": ["json"],
            "sweep": {"fault_path": [{"huge_pages": true}, {"huge_pages" : true}]}})"},
       {"sweep", R"({"functions": ["json"], "sweep": {"ws_group_size": [64]}, "cluster": {}})"},
+      {"placement.memory_files",
+       R"({"functions": ["json"], "placement": {"memory_files": "tape"}})"},
+      {"placement", R"({"functions": ["json"], "placement": "remote"})"},
+      {"sweep.placement.loading_set",
+       R"({"functions": ["json"], "sweep": {"placement": [{}, {"loading_set": "nearby"}]}})"},
+      {"sweep.placement", R"({"functions": ["json"], "sweep": {"placement": ["remote"]}})"},
+      // Outages hit the remote tier; without one they would hit nothing.
+      {"chaos.remote_outage_mean_gap_us",
+       R"({"functions": ["json"], "chaos": {"remote_outage_mean_gap_us": 50000}})"},
+      {"sweep.chaos.remote_outage_mean_gap_us",
+       R"({"functions": ["json"], "chaos": {"remote_outage_mean_gap_us": 50000},
+           "placement": {"memory_files": "remote"},
+           "sweep": {"placement": [{"memory_files": "local"}]}})"},
+      // A key no reader looks up, at every level: misspelt, it would run as
+      // its default.
+      {"huge_pages", R"({"functions": ["json"], "huge_pages": true})"},
+      {"fault_path.huge_page", R"({"functions": ["json"], "fault_path": {"huge_page": true}})"},
+      {"sweep.fault_path.huge_page",
+       R"({"functions": ["json"], "sweep": {"fault_path": [{}, {"huge_page": true}]}})"},
+      {"placement.loading_sets",
+       R"({"functions": ["json"], "placement": {"loading_sets": "remote"}})"},
+      {"chaos.read_error", R"({"functions": ["json"], "chaos": {"read_error": 0.1}})"},
+      {"admission.max_inflight",
+       R"({"functions": ["json"], "admission": {"max_inflight": 2}})"},
+      {"forensics.slowest", R"({"functions": ["json"], "forensics": {"slowest": 4}})"},
+      {"cluster.host_count", R"({"functions": ["json"], "cluster": {"host_count": 3}})"},
+      {"cluster.router.polcy",
+       R"({"functions": ["json"], "cluster": {"router": {"polcy": "random"}}})"},
+      {"cluster.host.keep_warm",
+       R"({"functions": ["json"], "cluster": {"host": {"keep_warm": 9000}}})"},
+      {"cluster.workload.counts",
+       R"({"functions": ["json"], "cluster": {"workload": {"counts": 50}}})"},
   };
   for (const auto& c : cases) {
     Result<Scenario> config = Parse(c.doc);
@@ -179,6 +211,68 @@ TEST(Scenario, SweepValuesApplyOntoThePlatform) {
   ASSERT_EQ(sizes->sweep.size(), 2u);
   EXPECT_EQ(sizes->sweep[0].label, "64");
   EXPECT_EQ(sizes->sweep[1].platform.ws_group_size, 4096u);
+}
+
+// Any remote tier provisions the EBS device, with the shared scheduler knobs;
+// without one there is no remote device. A sweep value re-derives it from
+// its own placement, so no parsed platform reaches Platform's
+// remote-placement CHECK.
+TEST(Scenario, PlacementProvisionsTheRemoteTier) {
+  Result<Scenario> config = Parse(R"({
+    "functions": ["json"],
+    "disk_queue_depth": 7,
+    "placement": {"reap_ws": "remote"},
+    "sweep": {"placement": [{}, {"reap_ws": "local"}, {"loading_set": "remote"}]}
+  })");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  ASSERT_TRUE(config->platform.remote_disk.has_value());
+  EXPECT_EQ(config->platform.remote_disk->name, "ebs-io2");
+  EXPECT_EQ(config->platform.remote_disk->sched.queue_depth, 7);
+  EXPECT_EQ(config->platform.placement.reap_ws, StorageTier::kRemote);
+  EXPECT_EQ(config->platform.placement.memory_files, StorageTier::kLocal);
+  ASSERT_EQ(config->sweep.size(), 3u);
+  EXPECT_EQ(config->sweep[0].label, "{}");
+  EXPECT_TRUE(config->sweep[0].platform.remote_disk.has_value());
+  EXPECT_EQ(config->sweep[1].label, R"({"reap_ws":"local"})");
+  EXPECT_FALSE(config->sweep[1].platform.remote_disk.has_value());
+  EXPECT_EQ(config->sweep[2].platform.placement.reap_ws, StorageTier::kRemote);
+  EXPECT_EQ(config->sweep[2].platform.placement.loading_set, StorageTier::kRemote);
+  EXPECT_TRUE(config->sweep[2].platform.remote_disk.has_value());
+  for (const SweepValue& value : config->sweep) {
+    Platform platform(value.platform);  // CHECK-fails on a tier with no device
+  }
+
+  Result<Scenario> local = Parse(R"({"functions": ["json"], "placement": {}})");
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_FALSE(local->platform.remote_disk.has_value());
+}
+
+// test-chaos.json states the tier its outages hit, which the chaos block
+// used to provision by itself: memory files on EBS, the rest local.
+TEST(Scenario, ChaosConfigPlacesMemoryFilesRemotely) {
+  Result<Scenario> config =
+      LoadScenario(std::string(FAASNAP_SOURCE_DIR) + "/configs/test-chaos.json");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  const PlatformConfig& platform = config->platform;
+  EXPECT_TRUE(platform.chaos.enabled);
+  EXPECT_GT(platform.chaos.remote_outage_mean_gap, Duration::Zero());
+  ASSERT_TRUE(platform.remote_disk.has_value());
+  const BlockDeviceProfile& remote = *platform.remote_disk;
+  const BlockDeviceProfile ebs = EbsIo2Profile();
+  EXPECT_EQ(remote.name, ebs.name);
+  EXPECT_EQ(remote.base_latency, ebs.base_latency);
+  EXPECT_EQ(remote.bandwidth_bytes_per_s, ebs.bandwidth_bytes_per_s);
+  EXPECT_EQ(remote.iops, ebs.iops);
+  EXPECT_EQ(remote.jitter, ebs.jitter);
+  // One set of scheduler knobs governs both tiers.
+  const DiskSchedConfig& sched = platform.disk.sched;
+  EXPECT_EQ(remote.sched.queue_depth, sched.queue_depth);
+  EXPECT_EQ(remote.sched.prefetch_slots, sched.prefetch_slots);
+  EXPECT_EQ(remote.sched.prefetch_aging_bound, sched.prefetch_aging_bound);
+  EXPECT_EQ(remote.sched.max_merge_bytes, sched.max_merge_bytes);
+  EXPECT_EQ(platform.placement.memory_files, StorageTier::kRemote);
+  EXPECT_EQ(platform.placement.loading_set, StorageTier::kLocal);
+  EXPECT_EQ(platform.placement.reap_ws, StorageTier::kLocal);
 }
 
 TEST(Scenario, ClusterBlockMakesAClusterScenario) {
@@ -221,6 +315,11 @@ TEST(Scenario, LoadsTheShippedConfigs) {
     EXPECT_EQ(config->cluster.has_value(),
               std::filesystem::path(path).stem() == "test-cluster")
         << path;
+    // Every platform the config runs is one Platform accepts.
+    Platform platform(config->platform);
+    for (const SweepValue& value : config->sweep) {
+      Platform swept(value.platform);
+    }
   }
 }
 
@@ -500,15 +599,43 @@ TEST(ExperimentRunner, CellFieldsAreTheInvocationReport) {
     EXPECT_GT(r.faults.fault_disk_requests, 0u) << cell.system;
     EXPECT_GT(snapshot.loading_set.regions.size(), 0u) << cell.system;
     EXPECT_GT(r.mmap_calls, 0u) << cell.system;
+
+    const Log2Histogram& h = r.faults.latency_histogram;
+    ASSERT_EQ(cell.fault_latency.num_buckets(), 12) << cell.system;
+    int64_t bucketed = 0;
+    for (int i = 0; i < h.num_buckets(); ++i) {
+      EXPECT_EQ(cell.fault_latency.bucket_count(i), h.bucket_count(i)) << cell.system << " " << i;
+      bucketed += cell.fault_latency.bucket_count(i);
+    }
+    EXPECT_EQ(bucketed, r.faults.total_faults()) << cell.system;
+    EXPECT_GT(bucketed, 0) << cell.system;
+
+    const auto mib = [](uint64_t pages) {
+      return static_cast<double>(PagesToBytes(pages)) / (1024.0 * 1024.0);
+    };
+    const PageRangeSet ws = snapshot.ws_groups.AllPages();
+    const PageRangeSet& nonzero = snapshot.memory_sanitized.nonzero;
+    const PageRangeSet zero = snapshot.memory_sanitized.ZeroRegions();
+    EXPECT_EQ(cell.ws_nonzero_mib.mean(), mib(ws.Intersect(nonzero).page_count())) << cell.system;
+    EXPECT_EQ(cell.cold_set_mib.mean(), mib(nonzero.Subtract(ws).page_count())) << cell.system;
+    EXPECT_EQ(cell.released_set_mib.mean(), mib(ws.Intersect(zero).page_count())) << cell.system;
+    EXPECT_EQ(cell.unused_set_mib.mean(), mib(zero.Subtract(ws).page_count())) << cell.system;
+    EXPECT_EQ(cell.reap_ws_mib.mean(), mib(snapshot.reap_ws.size_pages().value())) << cell.system;
+    EXPECT_EQ(cell.vanilla_nonzero_mib.mean(), mib(snapshot.memory_vanilla.nonzero.page_count()))
+        << cell.system;
+    EXPECT_GT(cell.cold_set_mib.mean(), 0) << cell.system;
+    EXPECT_GT(cell.released_set_mib.mean(), 0) << cell.system;
   }
   const std::string json = results->ToJson();
-  for (const char* key : {"fetch_ms_mean", "fetch_mb_mean", "guest_pagefault_mb_mean",
-                          "fault_ms_mean", "fault_wait_ms_mean", "major_faults_mean",
-                          "inflight_waits_mean", "fault_block_requests_mean",
-                          "footprint_mib_mean", "loading_set_regions_mean",
-                          "loading_set_mib_mean", "mmap_calls_mean", "batch_installs_mean",
-                          "batch_installed_pages_mean", "huge_installs_mean",
-                          "huge_splits_mean", "coalesced_pages_mean"}) {
+  for (const char* key :
+       {"fetch_ms_mean", "fetch_mb_mean", "guest_pagefault_mb_mean", "fault_ms_mean",
+        "fault_wait_ms_mean", "major_faults_mean", "inflight_waits_mean",
+        "fault_block_requests_mean", "footprint_mib_mean", "loading_set_regions_mean",
+        "loading_set_mib_mean", "mmap_calls_mean", "batch_installs_mean",
+        "batch_installed_pages_mean", "huge_installs_mean", "huge_splits_mean",
+        "coalesced_pages_mean", "ws_nonzero_mib_mean", "cold_set_mib_mean",
+        "released_set_mib_mean", "unused_set_mib_mean", "reap_ws_mib_mean",
+        "vanilla_nonzero_mib_mean", "fault_latency_buckets_mean"}) {
     EXPECT_NE(json.find(std::string("\"") + key + "\":"), std::string::npos) << key;
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/units.h"
+#include "src/obs/metrics_registry.h"
 #include "src/storage/device_profiles.h"
 
 namespace faasnap {
@@ -216,6 +217,48 @@ TEST_F(FaultEngineTest, MetricsAccumulateAcrossClasses) {
   EXPECT_EQ(m.total_faults(), 3);
   EXPECT_EQ(m.latency_histogram.total_count(), 3);
   EXPECT_GT(m.total_fault_time, Duration::Micros(32));
+}
+
+// With a registry attached, AccessRun adds the present pages it passed to the
+// no-fault counter before it returns, at every kind of stop: a burst that
+// cannot end in line, an evented fixed-cost retire, a file fault, a uffd fault
+// and the end of the run.
+TEST_F(FaultEngineTest, NoFaultCounterTakesThePresentPagesAtEveryStop) {
+  space_.Map({.guest = {0, 100}, .kind = BackingKind::kAnonymous});
+  space_.Map({.guest = {100, 100}, .kind = BackingKind::kFile, .file = kMemFile,
+              .file_start = 100});
+  MetricsRegistry registry;
+  engine_->set_observability(nullptr, &registry);
+  const Counter* no_faults = registry.GetCounter("faults.by_class", {{"class", "no-fault"}});
+  CountingGuest guest;
+  engine_->set_guest(&guest);
+  // Runs `pages`, whose first `present` pages are installed, with `burst`
+  // before every page but the first.
+  const auto run = [&](PageRange pages, uint64_t present, Duration burst,
+                       FaultEngine::RunStop stop) {
+    space_.SetInstallState(PageRange{pages.first, present}, PageInstallState::kPresent);
+    uint64_t next = 0;
+    FaultEngine::RunLookups lookups;
+    const int64_t before = no_faults->Get();
+    EXPECT_EQ(engine_->AccessRun(pages, &next, burst, /*burst_ended=*/true,
+                                 /*may_advance=*/false, &lookups),
+              stop)
+        << pages.first;
+    EXPECT_EQ(no_faults->Get() - before, static_cast<int64_t>(present)) << pages.first;
+    sim_.Run();
+  };
+  run({0, 2}, 1, Duration::Micros(1), FaultEngine::RunStop::kBurst);
+  run({10, 3}, 2, Duration::Zero(), FaultEngine::RunStop::kFault);   // anonymous, evented
+  run({110, 4}, 3, Duration::Zero(), FaultEngine::RunStop::kFault);  // major
+  run({20, 4}, 4, Duration::Zero(), FaultEngine::RunStop::kDone);
+  FakeUffdHandler handler(&sim_, Duration::Micros(10));
+  PageRangeSet region;
+  region.Add(50, 50);
+  engine_->RegisterUffd(region, &handler);
+  run({47, 4}, 3, Duration::Zero(), FaultEngine::RunStop::kFault);
+  EXPECT_EQ(handler.pages, std::vector<PageIndex>{50});
+  EXPECT_EQ(guest.resumed, 3);
+  EXPECT_EQ(no_faults->Get(), engine_->metrics().count(FaultClass::kNoFault));
 }
 
 TEST_F(FaultEngineTest, UnmappedAccessAborts) {

@@ -618,7 +618,10 @@ void ExpectSameMetrics(const FaultMetrics& a, const FaultMetrics& b) {
   EXPECT_EQ(a.huge_installs, b.huge_installs);
   EXPECT_EQ(a.huge_installed_pages, b.huge_installed_pages);
   EXPECT_EQ(a.huge_splits, b.huge_splits);
-  EXPECT_EQ(a.latency_histogram.ToString(), b.latency_histogram.ToString());
+  for (int i = 0; i < a.latency_histogram.num_buckets(); ++i) {
+    EXPECT_EQ(a.latency_histogram.bucket_count(i), b.latency_histogram.bucket_count(i)) << i;
+  }
+  EXPECT_EQ(a.latency_histogram.total_time(), b.latency_histogram.total_time());
 }
 
 TEST(VmFastForwardProperty, InvisibleUnderEveryCutAndRunMode) {
