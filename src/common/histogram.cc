@@ -14,19 +14,6 @@ Log2Histogram::Log2Histogram(Duration lower_edge, int num_buckets) : lower_(lowe
   counts_.assign(static_cast<size_t>(num_buckets) + 1, 0);
 }
 
-void Log2Histogram::Record(Duration d) {
-  int64_t ns = std::max<int64_t>(d.nanos(), 0);
-  size_t bucket = 0;
-  int64_t edge = lower_.nanos();
-  while (bucket + 1 < counts_.size() && ns >= edge) {
-    ++bucket;
-    edge *= 2;
-  }
-  counts_[bucket]++;
-  total_count_++;
-  total_time_ += d;
-}
-
 void Log2Histogram::Merge(const Log2Histogram& other) {
   FAASNAP_CHECK(other.lower_ == lower_);
   FAASNAP_CHECK(other.counts_.size() == counts_.size());

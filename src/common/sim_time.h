@@ -83,6 +83,7 @@ class SimTime {
 };
 
 constexpr SimTime Max(SimTime a, SimTime b) { return a < b ? b : a; }
+constexpr SimTime Min(SimTime a, SimTime b) { return a < b ? a : b; }
 constexpr Duration Max(Duration a, Duration b) { return a < b ? b : a; }
 constexpr Duration Min(Duration a, Duration b) { return a < b ? a : b; }
 

@@ -1,6 +1,7 @@
 #include "src/mem/fault_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "src/common/rng.h"
@@ -117,37 +118,21 @@ FaultEngine::PendingRetire FaultEngine::Pending(PageRange run, PageIndex page, F
                        fault_span};
 }
 
-void FaultEngine::ScheduleRetire(const PendingRetire& retire, Duration tail_cost) {
-  // Called at IO completion, or right after classification for a fixed-cost
-  // fault that could not retire in line; the guest resumes after `tail_cost`
-  // of post-IO kernel work plus any scheduler-induced stall (the class's extra
-  // wait: kvm_vcpu_block context switches on uffd faults).
-  auto fire = [this, retire] {
-    RetireFault(retire);
-    if (observer_) {
-      observer_(retire.page, retire.cls);
-    }
-    if (guest_ != nullptr) {
-      guest_->Resume();
-    }
-  };
-  static_assert(EventFn::kFitsInline<decltype(fire)>, "the retire event must not allocate");
-  sim_->Schedule(sim_->now() + tail_cost + ExtraWait(retire.cls), std::move(fire));
-}
-
-void FaultEngine::RetireFault(const PendingRetire& retire) {
+// The retire body of both paths, at `retired`: fault metrics, span end, class
+// histogram, lever accounting and the install state of a multi-page install.
+// The faulting page's own install byte and the registry's class counter are the
+// caller's: an evented retire writes both at once, AccessRun's in-line walk at
+// its next sync and exit. Inline, so the walk makes no call per retire.
+inline void FaultEngine::RetireFault(const PendingRetire& retire, SimTime retired) {
   const FaultClass cls = retire.cls;
   const Duration extra_wait = ExtraWait(cls);
-  const Duration handling = (sim_->now() - retire.fault_start) - extra_wait;
+  const Duration handling = (retired - retire.fault_start) - extra_wait;
   metrics_.RecordFault(cls, handling, extra_wait);
   if (spans_ != nullptr) {
-    spans_->End(retire.fault_span, sim_->now(), static_cast<uint64_t>(cls));
+    spans_->End(retire.fault_span, retired, static_cast<uint64_t>(cls));
   }
-  if (class_counters_[static_cast<int>(cls)] != nullptr) {
-    class_counters_[static_cast<int>(cls)]->Add(1);
-    if (class_histograms_[static_cast<int>(cls)] != nullptr) {
-      class_histograms_[static_cast<int>(cls)]->Record(handling);
-    }
+  if (class_histograms_[static_cast<int>(cls)] != nullptr) {
+    class_histograms_[static_cast<int>(cls)]->Record(handling);
   }
   const uint64_t count = retire.run_count;
   if (cls == FaultClass::kUffdHandled) {
@@ -179,7 +164,29 @@ void FaultEngine::RetireFault(const PendingRetire& retire) {
                             cls == FaultClass::kUffdHandled ? PageInstallState::kSoftPresent
                                                             : PageInstallState::kPresent);
   }
-  space_->SetInstallState(retire.page, PageInstallState::kPresent);
+}
+
+void FaultEngine::ScheduleRetire(const PendingRetire& retire, Duration tail_cost) {
+  // Called at IO completion, or right after classification for a fixed-cost
+  // fault that could not retire in line; the guest resumes after `tail_cost`
+  // of post-IO kernel work plus any scheduler-induced stall (the class's extra
+  // wait: kvm_vcpu_block context switches on uffd faults).
+  auto fire = [this, retire] {
+    RetireFault(retire, sim_->now());
+    Counter* const counter = class_counters_[static_cast<int>(retire.cls)];
+    if (counter != nullptr) {
+      counter->Add(1);
+    }
+    space_->SetInstallState(retire.page, PageInstallState::kPresent);
+    if (observer_) {
+      observer_(retire.page, retire.cls);
+    }
+    if (guest_ != nullptr) {
+      guest_->Resume();
+    }
+  };
+  static_assert(EventFn::kFitsInline<decltype(fire)>, "the retire event must not allocate");
+  sim_->Schedule(sim_->now() + tail_cost + ExtraWait(retire.cls), std::move(fire));
 }
 
 PageRange FaultEngine::TrimToUninstalled(PageRange run, PageIndex page) const {
@@ -236,36 +243,81 @@ FaultEngine::RunStop FaultEngine::AccessRun(PageRange run, uint64_t* next, Durat
                                             bool burst_ended, bool may_advance,
                                             RunLookups* lookups) {
   const bool has_burst = burst > Duration::Zero();
+  // The walk's clock. A burst ends, and a fixed-cost fault retires, in line
+  // when it ends at or before `bound`: the latest time the fast-forward rule
+  // accepts, or before `t` without may_advance. Only an observer may schedule
+  // during the walk, so the bound is read at entry and after each observer call.
+  SimTime t = sim_->now();
+  const auto read_bound = [&] {
+    return may_advance ? sim_->FastForwardBound() : t + Duration::Nanos(-1);
+  };
+  SimTime bound = read_bound();
+  // Pages retired in line whose install byte is not written yet. The pages
+  // between them are no-faults of this walk, already present.
+  PageIndex unwritten_first = 0;
+  PageIndex unwritten_end = 0;
+  // Commits the clock and the install bytes, before anything that reads them.
+  const auto sync = [&] {
+    if (t != sim_->now()) {
+      FAASNAP_CHECK(sim_->TryFastForward(t));
+    }
+    if (unwritten_first != unwritten_end) {
+      space_->SetInstallState(PageRange{unwritten_first, unwritten_end - unwritten_first},
+                              PageInstallState::kPresent);
+      unwritten_first = unwritten_end;
+    }
+  };
   // No-faults are counted (including the registry counter) but never enter
   // the handling-time histograms: a zero-duration sample per touched page
   // would drown the real fault latencies in the percentile summaries. The
-  // registry counter takes this call's no-faults in one add at each exit,
-  // before anything that could end the invocation.
-  const int64_t no_faults_at_entry = metrics_.count(FaultClass::kNoFault);
-  const auto count_present = [&] {
-    if (class_counters_[0] != nullptr &&
-        metrics_.count(FaultClass::kNoFault) > no_faults_at_entry) {
-      class_counters_[0]->Add(metrics_.count(FaultClass::kNoFault) - no_faults_at_entry);
+  // registry's class counters take this call's retires in one add per class at
+  // each exit, as deltas of metrics_.counts from registry_base_: based at
+  // entry for no-faults and at a fault class's first in-line retire. The
+  // classes not yet based are the set bits of `unbased`.
+  const bool counting = class_counters_[0] != nullptr;
+  uint32_t unbased = 0;
+  if (counting) {
+    registry_base_[0] = metrics_.count(FaultClass::kNoFault);
+    unbased = ~uint32_t{1};
+  }
+  // Every exit: the sync, then the registry counters, before anything that
+  // could end the invocation.
+  const auto commit = [&] {
+    sync();
+    if (!counting) {
+      return;
+    }
+    for (uint32_t based = ~unbased; based != 0; based &= based - 1) {
+      const int c = std::countr_zero(based);
+      const int64_t retired = metrics_.counts[c] - registry_base_[c];
+      if (retired > 0 && class_counters_[c] != nullptr) {
+        class_counters_[c]->Add(retired);
+      }
     }
   };
   for (bool ended = burst_ended; *next < run.count; ended = false) {
     // The burst ends before the page is classified: a burst that cannot end in
     // line returns here, and the page is classified once, after its event.
-    if (!ended && has_burst && (!may_advance || !sim_->TryFastForward(sim_->now() + burst))) {
-      count_present();
-      return RunStop::kBurst;
+    if (!ended && has_burst) {
+      if (bound < t + burst) {
+        commit();
+        return RunStop::kBurst;
+      }
+      t += burst;
     }
     const PageIndex page = run.first + (*next)++;
     const PageInstallState state = space_->install_state(page);
     if (state == PageInstallState::kPresent) {
       metrics_.RecordFault(FaultClass::kNoFault, Duration::Zero());
       if (observer_) {
+        sync();
         observer_(page, FaultClass::kNoFault);
+        bound = read_bound();
       }
       continue;
     }
 
-    const SimTime fault_start = sim_->now();
+    const SimTime fault_start = t;
     const SpanId fault_span =
         spans_ != nullptr ? spans_->BeginId(fault_start, ObsLane::kVcpu, fault_name_, page,
                                             0, invocation_span_)
@@ -281,7 +333,7 @@ FaultEngine::RunStop FaultEngine::AccessRun(PageRange run, uint64_t* next, Durat
     } else {
       // Not present. userfaultfd interception takes priority over the kernel path.
       if (uffd_handler_ != nullptr && uffd_region_.Contains(page)) {
-        count_present();
+        commit();
         StartUffdFault(page, fault_start, fault_span);
         return RunStop::kFault;
       }
@@ -293,6 +345,7 @@ FaultEngine::RunStop FaultEngine::AccessRun(PageRange run, uint64_t* next, Durat
       if (fault_path_.huge_pages &&
           space_->huge_region_state(page) == HugeRegionState::kEligible) {
         const PageRange region = space_->HugeRegionOf(page);
+        sync();  // HugeInstallable reads the region's install bytes
         if (HugeInstallable(region)) {
           space_->SetHugeRegionState(page, HugeRegionState::kInstalled);
           huge = true;
@@ -321,7 +374,7 @@ FaultEngine::RunStop FaultEngine::AccessRun(PageRange run, uint64_t* next, Durat
           if (backing.file != lookups->file || !lookups->present.Contains(backing.file_page)) {
             const PageCache::PageLookup cached = cache_->Lookup(backing.file, backing.file_page);
             if (cached.state != PageCache::PageState::kPresent) {
-              count_present();
+              commit();
               StartFileFault(page, lookups->mapping, cached.state, split_extra, fault_start,
                              fault_span);
               return RunStop::kFault;
@@ -337,22 +390,36 @@ FaultEngine::RunStop FaultEngine::AccessRun(PageRange run, uint64_t* next, Durat
       }
     }
 
-    // A fixed-cost fault: it retires in line when the fast-forward rule allows,
-    // else from an event at the same time, with the class and cost computed here.
+    // A fixed-cost fault: it retires in line when its resume time is within
+    // the bound, else from an event at the same time, with the class and cost
+    // computed here. Only a huge install's range needs Pending's check.
     const Duration cost = DisperseCost(costs_.cost_dispersion, base_cost, page, cls) + split_extra;
-    const PendingRetire retire = Pending(installs, page, cls, fault_start, fault_span);
-    if (may_advance && sim_->TryFastForward(sim_->now() + cost)) {
-      RetireFault(retire);
-      if (observer_) {
-        observer_(page, cls);
-      }
-      continue;
+    const PendingRetire retire =
+        installs.count == 1 ? PendingRetire{page, page, 1, cls, fault_start, fault_span}
+                            : Pending(installs, page, cls, fault_start, fault_span);
+    if (bound < t + cost) {
+      commit();
+      ScheduleRetire(retire, cost);
+      return RunStop::kFault;
     }
-    count_present();
-    ScheduleRetire(retire, cost);
-    return RunStop::kFault;
+    t += cost;
+    const uint32_t class_bit = uint32_t{1} << static_cast<int>(cls);
+    if ((unbased & class_bit) != 0) {
+      unbased &= ~class_bit;
+      registry_base_[static_cast<int>(cls)] = metrics_.count(cls);
+    }
+    RetireFault(retire, t);
+    if (unwritten_first == unwritten_end) {
+      unwritten_first = page;
+    }
+    unwritten_end = page + 1;
+    if (observer_) {
+      sync();
+      observer_(page, cls);
+      bound = read_bound();
+    }
   }
-  count_present();
+  commit();
   return RunStop::kDone;
 }
 

@@ -13,15 +13,17 @@
 // One access path, run-granular. AccessRun serves a run of consecutive guest
 // pages, each after its compute burst; Access(page) is its one-page case. Each
 // page is classified once, after its burst has ended: present pages retire at
-// once, fixed-cost faults retire in line while Simulation::TryFastForward
-// allows it (each page's burst end and resume time checked on its own against
-// the queue head and the RunUntil deadline), and the first page that cannot
-// leaves for an event with its class and cost already computed. The mapping
-// run and the page-cache present run are looked up lazily and reused for later
-// pages (RunLookups) until the current event ends: no event fires within one
-// stretch, so neither can change under it. An evented retire reaches the
-// guest through the FaultGuest set once per invocation, so no access carries a
-// callback of its own.
+// once, fixed-cost faults retire in line while their time stays within one
+// fast-forward bound (Simulation::FastForwardBound, read once per call and
+// again after each observer call), and the first page that cannot leaves for
+// an event with its class and cost already computed. The walk runs on a local
+// clock and commits it, the registry counters and the install bytes of the
+// pages it retired at each exit. The mapping run and the page-cache present
+// run are looked up lazily and reused for later pages (RunLookups) until the
+// current event ends: no event fires within one stretch, so neither can
+// change under it. An evented retire reaches the guest through the
+// FaultGuest set once per invocation, so no access carries a callback of its
+// own.
 
 #ifndef FAASNAP_SRC_MEM_FAULT_ENGINE_H_
 #define FAASNAP_SRC_MEM_FAULT_ENGINE_H_
@@ -78,6 +80,9 @@ class FaultEngine {
  public:
   // Called after every access retires — in line or from its retire event —
   // with the clock at that access's retire time (the record phase's hook).
+  // In line, AccessRun commits its clock and the install bytes of the pages it
+  // retired before each call, and reads the fast-forward bound again after it,
+  // so the observer may read the clock and the address space and may schedule.
   using AccessObserver = std::function<void(PageIndex, FaultClass)>;
 
   // All pointers must outlive the engine. `file_size_pages` bounds readahead
@@ -121,12 +126,20 @@ class FaultEngine {
   //
   // Each page is classified once, after its burst. A present page retires at
   // once. A fixed-cost fault (uffd-preinstalled, anonymous, page-cache minor,
-  // huge install) retires in line when `may_advance` and
-  // Simulation::TryFastForward allow it; otherwise its retire is scheduled with
-  // the class and cost already computed and AccessRun returns kFault. Major,
-  // in-flight and uffd-handled faults always take the evented path. Bursts
-  // likewise end in line only under `may_advance` and the fast-forward rule.
-  // Pass `may_advance` only from the last action of an event callback.
+  // huge install) retires in line when `may_advance` and its resume time is
+  // within Simulation::FastForwardBound(), read at entry; otherwise its retire
+  // is scheduled with the class and cost already computed and AccessRun
+  // returns kFault. Major, in-flight and uffd-handled faults always take the
+  // evented path. Bursts likewise end in line only under `may_advance` and
+  // within the bound. Pass `may_advance` only from the last action of an event
+  // callback.
+  //
+  // The walk keeps its own clock. Every exit (each RunStop, and before an
+  // evented start) commits it with TryFastForward, adds the call's retires to
+  // the registry's class counters in one add per class, and writes the
+  // install bytes of the pages retired in line; the caller then schedules from
+  // the committed clock. The clock and install bytes are also committed before
+  // each observer call and before the huge lever reads a region's bytes.
   //
   // Lookups are lazy and shared through `lookups`: a present page needs none,
   // and a fault does at most one address-space search and one page-cache
@@ -222,9 +235,11 @@ class FaultEngine {
   // extra wait, retires the fault, calls the observer and resumes the guest.
   void ScheduleRetire(const PendingRetire& retire, Duration tail_cost);
 
-  // The retire body shared by the evented and inline paths: fault metrics,
-  // span end, class counter and histogram, lever accounting, install state.
-  void RetireFault(const PendingRetire& retire);
+  // The retire body shared by the evented and in-line paths, at `retired`:
+  // fault metrics, span end, class histogram, lever accounting and a
+  // multi-page install's neighbors. The caller adds the class counter and
+  // writes the page's own install byte (the in-line walk defers both).
+  void RetireFault(const PendingRetire& retire, SimTime retired);
 
   // The evented starts of AccessRun: a uffd-registered fault delivered to the
   // handler, and a page-cache miss or in-flight page (major, in-flight wait,
@@ -273,6 +288,9 @@ class FaultEngine {
   // and the huge-install slot only registers when the huge lever is on.
   Counter* class_counters_[static_cast<int>(FaultClass::kClassCount)] = {};
   Log2Histogram* class_histograms_[static_cast<int>(FaultClass::kClassCount)] = {};
+  // Scratch of one AccessRun call with a registry attached: metrics_.counts of
+  // each class when the call began counting it (see AccessRun).
+  int64_t registry_base_[static_cast<int>(FaultClass::kClassCount)] = {};
   // Lever counters; registered in set_observability iff the lever is enabled,
   // so disabled runs keep a bit-identical metrics snapshot.
   Counter* batch_installs_ctr_ = nullptr;

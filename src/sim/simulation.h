@@ -25,10 +25,16 @@
 //    already queued would win the FIFO tie (a cancelled head counts as live);
 //  * the caller does the skipped event's work as the last action of the
 //    current event, so nothing runs between "now" and t.
+// FastForwardBound() is the latest t the rule accepts now. It depends on the
+// deadline and the raw queue head, not on the clock, so a caller may test
+// successive times against one bound and commit the last of them with
+// TryFastForward, provided nothing schedules or cancels an event in between.
 // Fast-forwards fire no event and do not count in processed_events(). The
-// callers are the Vm (trailing compute) and FaultEngine::AccessRun (each
-// page's compute burst and each fixed-cost fault of a run); AccessRun checks
-// every page on its own, as its clock moves past earlier pages of the run.
+// callers are the Vm (trailing compute, one TryFastForward) and
+// FaultEngine::AccessRun, the bound's one reader: it walks a run's bursts and
+// fixed-cost faults on a local clock against the bound and commits the clock at
+// each exit, and before each access observer call, which may schedule (the
+// bound is read again after it).
 
 #ifndef FAASNAP_SRC_SIM_SIMULATION_H_
 #define FAASNAP_SRC_SIM_SIMULATION_H_
@@ -84,6 +90,11 @@ class Simulation {
   // rule in the header comment. Returns false and leaves the clock alone when
   // the rule does not allow it; the caller then schedules the event instead.
   bool TryFastForward(SimTime t);
+
+  // The latest t that TryFastForward(t) would accept now: the RunUntil deadline
+  // or 1 ns before the raw queue head, whichever is earlier (a cancelled head
+  // counts as live). Before now() outside a run loop or inside a bare Step().
+  SimTime FastForwardBound() const;
 
   // True when the queue holds an event at or before `t`: RunUntil(t) would fire
   // something. Peeks the raw heap root, so a cancelled head counts as an event.
@@ -340,14 +351,21 @@ inline bool Simulation::Step() {
   return FireNext();
 }
 
-inline bool Simulation::TryFastForward(SimTime t) {
-  FAASNAP_CHECK(now_ <= t);
-  if (!in_run_loop_ || run_deadline_ < t) {
-    return false;
+inline SimTime Simulation::FastForwardBound() const {
+  if (!in_run_loop_) {
+    return now_ + Duration::Nanos(-1);
   }
   // A cancelled head only makes the bound more conservative, and peeking the
   // raw root stays O(1).
-  if (HasEventAtOrBefore(t)) {
+  if (heap_.size() > kHeapPad) {
+    return Min(run_deadline_, heap_[kHeapPad].when + Duration::Nanos(-1));
+  }
+  return run_deadline_;
+}
+
+inline bool Simulation::TryFastForward(SimTime t) {
+  FAASNAP_CHECK(now_ <= t);
+  if (FastForwardBound() < t) {
     return false;
   }
   now_ = t;

@@ -68,7 +68,7 @@ class Vm final : private FaultGuest {
   // `may_advance` is true only when this Step is the last action of one of the
   // Vm's own continuation events: then compute bursts, fixed-cost faults and
   // the trailing compute that end strictly before the next queued event retire
-  // in line through Simulation::TryFastForward. The first Step, inside
+  // in line under Simulation's fast-forward rule. The first Step, inside
   // RunInvocation, passes false: its caller may still act after RunInvocation
   // returns.
   void Step(bool may_advance);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace faasnap {
 namespace {
 
@@ -35,6 +41,42 @@ TEST(Log2Histogram, RecordsIntoCorrectBuckets) {
   EXPECT_EQ(h.bucket_count(3), 1);
   EXPECT_EQ(h.bucket_count(h.num_buckets() - 1), 1);
   EXPECT_EQ(h.total_count(), 5);
+
+  // Record against a reference edge-doubling loop, for every configuration in
+  // use (Figure 2 and the registry default, the batch-size digest, the
+  // accepted-latency histograms, the forensics digests): 0, a negative sample,
+  // INT64_MAX and each edge -1, +0 and +1.
+  const std::pair<Duration, int> configs[] = {{Duration::Nanos(500), 11},
+                                              {Duration::Nanos(1), 11},
+                                              {Duration::Micros(1), 21},
+                                              {Duration::Micros(1), 24}};
+  for (const auto& [lower, num_buckets] : configs) {
+    const auto reference_bucket = [&](int64_t sample) {
+      const int64_t ns = std::max<int64_t>(sample, 0);
+      int bucket = 0;
+      int64_t edge = lower.nanos();
+      while (bucket < num_buckets && ns >= edge) {
+        ++bucket;
+        edge *= 2;
+      }
+      return bucket;
+    };
+    std::vector<int64_t> samples = {0, -7, INT64_MAX};
+    for (int64_t edge = lower.nanos(), j = 0; j < num_buckets; ++j, edge *= 2) {
+      samples.insert(samples.end(), {edge - 1, edge, edge + 1});
+    }
+    for (const int64_t sample : samples) {
+      SCOPED_TRACE("lower " + std::to_string(lower.nanos()) + " ns, " +
+                   std::to_string(num_buckets) + " buckets, sample " + std::to_string(sample));
+      Log2Histogram one(lower, num_buckets);
+      one.Record(Duration::Nanos(sample));
+      for (int i = 0; i < one.num_buckets(); ++i) {
+        EXPECT_EQ(one.bucket_count(i), i == reference_bucket(sample) ? 1 : 0) << "bucket " << i;
+      }
+      EXPECT_EQ(one.total_count(), 1);
+      EXPECT_EQ(one.total_time(), Duration::Nanos(sample));
+    }
+  }
 }
 
 TEST(Log2Histogram, MeanAndTotal) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include <vector>
 
 namespace faasnap {
@@ -223,6 +225,98 @@ TEST(SimulationFastForward, NotCountedAsProcessedEvents) {
   EXPECT_EQ(sim.Run(), 1u);
   EXPECT_EQ(sim.processed_events(), 1u);
   EXPECT_EQ(sim.now().nanos(), 10);
+}
+
+// FastForwardBound() from inside an event: TryFastForward must refuse one
+// nanosecond past it, leaving the clock alone, and accept the bound itself.
+struct BoundProbe {
+  SimTime bound;
+  bool past_accepted = true;
+  bool at_accepted = false;
+};
+
+BoundProbe ProbeBound(Simulation& sim) {
+  BoundProbe probe;
+  probe.bound = sim.FastForwardBound();
+  const SimTime before = sim.now();
+  probe.past_accepted = sim.TryFastForward(probe.bound + Duration::Nanos(1));
+  EXPECT_EQ(sim.now(), before);
+  probe.at_accepted = sim.TryFastForward(probe.bound);
+  return probe;
+}
+
+TEST(SimulationFastForward, BoundIsTheLatestTimeTryFastForwardAccepts) {
+  {
+    SCOPED_TRACE("empty queue");
+    Simulation sim;
+    BoundProbe in_epoch;
+    sim.Schedule(SimTime::FromNanos(100), [&] { in_epoch = ProbeBound(sim); });
+    sim.RunUntil(SimTime::FromNanos(700));
+    EXPECT_EQ(in_epoch.bound, SimTime::FromNanos(700));
+    EXPECT_FALSE(in_epoch.past_accepted);
+    EXPECT_TRUE(in_epoch.at_accepted);
+    // Under Run() an empty queue bounds nothing: the bound is the end of time.
+    SimTime unbounded;
+    bool accepted = false;
+    sim.Schedule(SimTime::FromNanos(800), [&] {
+      unbounded = sim.FastForwardBound();
+      accepted = sim.TryFastForward(unbounded);
+    });
+    sim.Run();
+    EXPECT_EQ(unbounded, SimTime::FromNanos(INT64_MAX));
+    EXPECT_TRUE(accepted);
+  }
+  {
+    SCOPED_TRACE("live head");
+    Simulation sim;
+    BoundProbe probe;
+    sim.Schedule(SimTime::FromNanos(100), [&] { probe = ProbeBound(sim); });
+    sim.Schedule(SimTime::FromNanos(300), [] {});
+    sim.Run();
+    EXPECT_EQ(probe.bound, SimTime::FromNanos(299));
+    EXPECT_FALSE(probe.past_accepted);
+    EXPECT_TRUE(probe.at_accepted);
+  }
+  {
+    SCOPED_TRACE("cancelled head");
+    Simulation sim;
+    BoundProbe probe;
+    const EventId cancelled = sim.Schedule(SimTime::FromNanos(200), [] {});
+    sim.Schedule(SimTime::FromNanos(100), [&] { probe = ProbeBound(sim); });
+    sim.Schedule(SimTime::FromNanos(400), [] {});
+    sim.Cancel(cancelled);
+    sim.Run();
+    EXPECT_EQ(probe.bound, SimTime::FromNanos(199));
+    EXPECT_FALSE(probe.past_accepted);
+    EXPECT_TRUE(probe.at_accepted);
+  }
+  {
+    SCOPED_TRACE("RunUntil deadline before the head");
+    Simulation sim;
+    BoundProbe probe;
+    sim.Schedule(SimTime::FromNanos(100), [&] { probe = ProbeBound(sim); });
+    sim.Schedule(SimTime::FromNanos(900), [] {});
+    sim.RunUntil(SimTime::FromNanos(500));
+    EXPECT_EQ(probe.bound, SimTime::FromNanos(500));
+    EXPECT_FALSE(probe.past_accepted);
+    EXPECT_TRUE(probe.at_accepted);
+  }
+  {
+    SCOPED_TRACE("outside a run loop");
+    Simulation sim;
+    EXPECT_LT(sim.FastForwardBound(), sim.now());
+    EXPECT_FALSE(sim.TryFastForward(sim.FastForwardBound() + Duration::Nanos(1)));
+    sim.Schedule(SimTime::FromNanos(50), [] {});
+    sim.Run();
+    EXPECT_LT(sim.FastForwardBound(), sim.now());
+    EXPECT_FALSE(sim.TryFastForward(sim.FastForwardBound() + Duration::Nanos(1)));
+    // A bare Step() is outside the rule too.
+    SimTime in_step;
+    sim.Schedule(SimTime::FromNanos(60), [&] { in_step = sim.FastForwardBound(); });
+    EXPECT_TRUE(sim.Step());
+    EXPECT_LT(in_step, SimTime::FromNanos(60));
+    EXPECT_EQ(sim.now().nanos(), 60);
+  }
 }
 
 TEST(SimulationDeathTest, SchedulingInThePastAborts) {

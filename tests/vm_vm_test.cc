@@ -555,24 +555,31 @@ struct Outcome {
   Duration elapsed;
   uint64_t access_count = 0;  // the record phase's written set is a function of it
   FaultMetrics metrics;
+  PageCount resident;
+  PageCount resident_anonymous;
   uint64_t events = 0;  // fired, not counting the ticker's
 };
 
+// Without `observe` no access observer is attached, so AccessRun commits its
+// clock and install bytes only at its exits.
 Outcome RunScenario(const Scenario& sc, const InvocationTrace& trace, RunMode mode,
-                    uint64_t seed) {
+                    uint64_t seed, bool observe = true) {
   World w(sc);
   Outcome out;
   SimTime deadline;
   bool finished = false;
-  w.engine->set_access_observer([&](PageIndex page, FaultClass cls) {
-    out.observed.emplace_back(page, cls, w.sim.now().nanos());
-    if (mode == RunMode::kEpochs) {
-      EXPECT_LE(w.sim.now().nanos(), deadline.nanos()) << "observer ran past the epoch deadline";
-    }
-    if (World::Settled(sc, w.sim.now())) {
-      w.ExpectClassMatchesWorld(page, cls);
-    }
-  });
+  if (observe) {
+    w.engine->set_access_observer([&](PageIndex page, FaultClass cls) {
+      out.observed.emplace_back(page, cls, w.sim.now().nanos());
+      if (mode == RunMode::kEpochs) {
+        EXPECT_LE(w.sim.now().nanos(), deadline.nanos())
+            << "observer ran past the epoch deadline";
+      }
+      if (World::Settled(sc, w.sim.now())) {
+        w.ExpectClassMatchesWorld(page, cls);
+      }
+    });
+  }
   uint64_t ticks = 0;
   Rng gaps(seed ^ 0x71CCE4);
   std::function<void()> tick = [&] {
@@ -603,6 +610,8 @@ Outcome RunScenario(const Scenario& sc, const InvocationTrace& trace, RunMode mo
   w.sim.Run();  // drains trailing readahead and the world changes
   EXPECT_TRUE(finished);
   out.metrics = w.engine->metrics();
+  out.resident = w.space.resident_pages();
+  out.resident_anonymous = w.space.resident_anonymous_pages();
   out.events = w.sim.processed_events() - ticks;
   return out;
 }
@@ -624,6 +633,15 @@ void ExpectSameMetrics(const FaultMetrics& a, const FaultMetrics& b) {
   EXPECT_EQ(a.latency_histogram.total_time(), b.latency_histogram.total_time());
 }
 
+// Everything an unobserved run can be compared on.
+void ExpectSameOutcome(const Outcome& a, const Outcome& b) {
+  EXPECT_EQ(a.elapsed, b.elapsed);
+  EXPECT_EQ(a.access_count, b.access_count);
+  ExpectSameMetrics(a.metrics, b.metrics);
+  EXPECT_EQ(a.resident, b.resident);
+  EXPECT_EQ(a.resident_anonymous, b.resident_anonymous);
+}
+
 TEST(VmFastForwardProperty, InvisibleUnderEveryCutAndRunMode) {
   uint64_t alone_events = 0;
   uint64_t blocked_events = 0;
@@ -643,18 +661,18 @@ TEST(VmFastForwardProperty, InvisibleUnderEveryCutAndRunMode) {
       ASSERT_EQ(trace.ExpandedOps(), sc.trace.ExpandedOps());
       for (const RunMode mode : {RunMode::kAlone, RunMode::kRandomTicker,
                                  RunMode::kEveryNanosecond, RunMode::kEpochs}) {
-        if (cut == Cut::kMaximal && mode == RunMode::kAlone) {
-          continue;  // the reference itself
-        }
         SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
-        const Outcome other = RunScenario(sc, trace, mode, seed);
-        ASSERT_EQ(alone.observed, other.observed);
-        EXPECT_EQ(alone.elapsed, other.elapsed);
-        EXPECT_EQ(alone.access_count, other.access_count);
-        ExpectSameMetrics(alone.metrics, other.metrics);
-        if (cut == Cut::kMaximal && mode == RunMode::kEveryNanosecond) {
-          blocked_events += other.events;
+        if (cut != Cut::kMaximal || mode != RunMode::kAlone) {  // else the reference itself
+          const Outcome other = RunScenario(sc, trace, mode, seed);
+          ASSERT_EQ(alone.observed, other.observed);
+          ExpectSameOutcome(alone, other);
+          if (cut == Cut::kMaximal && mode == RunMode::kEveryNanosecond) {
+            blocked_events += other.events;
+          }
         }
+        // With nothing attached the walk commits only at its exits.
+        SCOPED_TRACE("unobserved");
+        ExpectSameOutcome(alone, RunScenario(sc, trace, mode, seed, /*observe=*/false));
       }
     }
     alone_events += alone.events;
