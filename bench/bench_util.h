@@ -2,8 +2,7 @@
 //
 // The drivers left in bench/ are serving loops and harnesses that a restore
 // matrix cannot express: chaos invariants, keep-alive and host scheduling, the
-// observability soak, open-loop overload, device contention and the sharded
-// cluster. Every figure and table of the paper's evaluation, the section 4.3,
+// observability soak, open-loop overload and the sharded cluster. Every figure and table of the paper's evaluation, the section 4.3,
 // 4.6 and 7.1 sweeps and section 7.2's storage costs and tiered placement are
 // restore matrices: they run as configs/*.json through
 // examples/artifact_runner, and tests/paper_shapes_test.cc checks their
@@ -15,7 +14,7 @@
 
 #include <string>
 
-#include "src/metrics/table.h"
+#include "src/common/table.h"
 #include "src/runtime/platform.h"
 
 namespace faasnap {

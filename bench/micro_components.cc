@@ -384,10 +384,9 @@ BENCHMARK(BM_VmCachedScatteredTrace);
 
 void BM_DiskSchedContention(benchmark::State& state) {
   // Host-side cost of simulating a contended device: a pipelined prefetch
-  // stream racing a closed demand-fault chain. Arg = disk queue depth (0 = the
-  // legacy issue-time FIFO path, 32 = the two-class scheduler); the pair bounds
-  // the scheduler's per-request bookkeeping overhead (queueing, class pick,
-  // merge scan).
+  // stream racing a closed demand-fault chain through the two-class scheduler
+  // (Arg = disk queue depth): its per-request bookkeeping (queueing, class
+  // pick, merge scan).
   const auto depth = static_cast<uint32_t>(state.range(0));
   constexpr int kPrefetchReads = 64;
   constexpr int kDemandReads = 256;
@@ -414,7 +413,7 @@ void BM_DiskSchedContention(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           (kPrefetchReads + kDemandReads));
 }
-BENCHMARK(BM_DiskSchedContention)->Arg(0)->Arg(32);
+BENCHMARK(BM_DiskSchedContention)->Arg(32);
 
 void BM_SpanTracerBeginEnd(benchmark::State& state) {
   // Raw cost of one closed span: Begin + End on an interned name.

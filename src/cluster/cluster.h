@@ -136,9 +136,6 @@ class ClusterSimulator {
   // simulator is spent after Run.
   ClusterStats Run(const std::vector<Arrival>& arrivals);
 
-  size_t host_count() const { return config_.hosts; }
-  int worker_threads() const { return pool_.thread_count(); }
-
  private:
   struct Shard;
 

@@ -39,8 +39,6 @@ class WorkerPool {
   // reentrant: fn must not call ParallelFor on the same pool.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  int thread_count() const { return static_cast<int>(threads_.size()) + 1; }
-
  private:
   void WorkerLoop();
   // Claims and runs indices of the current generation until none remain.

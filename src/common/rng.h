@@ -27,11 +27,6 @@ class Rng {
   // Uniform in [0, bound). bound must be > 0.
   uint64_t NextBelow(uint64_t bound) { return NextU64() % bound; }
 
-  // Uniform in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t NextInRange(int64_t lo, int64_t hi) {
-    return lo + static_cast<int64_t>(NextBelow(static_cast<uint64_t>(hi - lo + 1)));
-  }
-
   // Uniform double in [0, 1).
   double NextDouble() {
     return static_cast<double>(NextU64() >> 11) * (1.0 / 9007199254740992.0);
@@ -39,10 +34,6 @@ class Rng {
 
   // True with probability p (clamped to [0,1]).
   bool NextBool(double p) { return NextDouble() < p; }
-
-  // Derives an independent child stream; used to give each actor its own RNG
-  // without correlated sequences.
-  Rng Fork() { return Rng(NextU64() ^ 0xa5a5a5a5deadbeefULL); }
 
  private:
   uint64_t state_;

@@ -6,7 +6,7 @@
 #include <string>
 
 #include "src/common/json_writer.h"
-#include "src/metrics/table.h"
+#include "src/common/table.h"
 #include "src/obs/observability.h"
 #include "src/obs/trace_export.h"
 #include "src/runtime/platform.h"
@@ -26,10 +26,8 @@ void TallyOutcome(ExperimentCell* cell, const InvocationReport& report) {
     case InvocationOutcome::kFailed:
       cell->failed++;
       break;
-    case InvocationOutcome::kShedQueueFull:
-    case InvocationOutcome::kShedDeadline:
-      cell->shed++;
-      break;
+    default:  // only an admission layer sheds, and a restore matrix has none
+      FAASNAP_CHECK(false);
   }
 }
 
@@ -191,48 +189,11 @@ void RunRep(const Scenario& scenario, const PlatformConfig& cell_platform,
                                         obsname::kExperimentCell, system_index)
                      : kNoSpan;
   int resolved = 0;
-  std::unique_ptr<AdmissionController> admission;
-  if (!scenario.admission_enabled) {
-    for (int i = 0; i < parallelism; ++i) {
-      platform.InvokeAsync(snapshot_of(i), system, trace_of(i), [&, i](InvocationReport report) {
-        RecordReport(cell, sizes_of(i), report);
-        ++resolved;
-      });
-    }
-  } else {
-    // The simultaneous requests enter a bounded deadline queue; overflow and
-    // expired waiters resolve as typed shed outcomes instead of piling onto
-    // the daemon.
-    AdmissionController::Hooks hooks;
-    hooks.run = [&](const AdmissionRequest& request, Duration wait) {
-      (void)wait;  // queue time is visible in the report's setup span
-      platform.InvokeAsync(snapshot_of(request.id), system, trace_of(request.id),
-                           [&, request](InvocationReport report) {
-                             RecordReport(cell, sizes_of(request.id), report);
-                             ++resolved;
-                             admission->OnComplete(request);
-                           });
-    };
-    hooks.shed = [&](const AdmissionRequest& request, InvocationOutcome outcome,
-                     Duration wait) {
-      (void)wait;  // ReportShed derives the wait from request.arrival
-      Status reason = outcome == InvocationOutcome::kShedQueueFull
-                          ? ResourceExhaustedError("admission queue full")
-                          : DeadlineExceededError("queueing deadline exceeded");
-      TallyOutcome(cell, platform.ReportShed(snapshot_of(request.id), system, request.arrival,
-                                             outcome, std::move(reason)));
+  for (int i = 0; i < parallelism; ++i) {
+    platform.InvokeAsync(snapshot_of(i), system, trace_of(i), [&, i](InvocationReport report) {
+      RecordReport(cell, sizes_of(i), report);
       ++resolved;
-    };
-    admission = std::make_unique<AdmissionController>(platform.sim(), scenario.admission,
-                                                      std::move(hooks));
-    for (int i = 0; i < parallelism; ++i) {
-      AdmissionRequest request;
-      request.id = static_cast<uint64_t>(i);
-      request.predicted_bytes =
-          PagesToBytes(PageCount::FromPages(snapshot_of(i).record_touched.page_count()));
-      request.arrival = platform.sim()->now();
-      admission->Offer(request);
-    }
+    });
   }
   platform.sim()->Run();
   FAASNAP_CHECK(resolved == parallelism);
@@ -365,7 +326,7 @@ std::string ExperimentResults::ToTable() const {
   }
   header.insert(header.end(), {"system", "total (ms)", "setup (ms)", "invoke (ms)"});
   if (any_non_ok) {
-    header.push_back("ok/deg/fail/shed");
+    header.push_back("ok/deg/fail");
   }
   TextTable table(header);
   for (const ExperimentCell& cell : cells) {
@@ -380,7 +341,7 @@ std::string ExperimentResults::ToTable() const {
                            FormatCell("%.1f", cell.invocation_ms.mean())});
     if (any_non_ok) {
       row.push_back(std::to_string(cell.ok) + "/" + std::to_string(cell.degraded) + "/" +
-                    std::to_string(cell.failed) + "/" + std::to_string(cell.shed));
+                    std::to_string(cell.failed));
     }
     table.AddRow(row);
   }
@@ -427,19 +388,15 @@ std::string ExperimentResults::ToJson() const {
         .Field("unused_set_mib_mean", cell.unused_set_mib.mean())
         .Field("reap_ws_mib_mean", cell.reap_ws_mib.mean())
         .Field("vanilla_nonzero_mib_mean", cell.vanilla_nonzero_mib.mean());
-    // The mean count per invocation in each bucket, overflow last (0 when
-    // every invocation was shed).
-    const auto invocations = static_cast<double>(std::max<int64_t>(cell.total_ms.count(), 1));
+    // The mean count per invocation in each bucket, overflow last.
+    const auto invocations = static_cast<double>(cell.total_ms.count());
     json.Key("fault_latency_buckets_mean").BeginArray();
     for (int i = 0; i < cell.fault_latency.num_buckets(); ++i) {
       json.Value(static_cast<double>(cell.fault_latency.bucket_count(i)) / invocations);
     }
     json.EndArray();
     if (!cell.all_ok()) {
-      json.Field("ok", cell.ok)
-          .Field("degraded", cell.degraded)
-          .Field("failed", cell.failed)
-          .Field("shed", cell.shed);
+      json.Field("ok", cell.ok).Field("degraded", cell.degraded).Field("failed", cell.failed);
     }
     json.Field("reps", cell.total_ms.count())
         .EndObject();

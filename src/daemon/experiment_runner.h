@@ -17,7 +17,7 @@
 
 #include "src/common/histogram.h"
 #include "src/daemon/scenario.h"
-#include "src/metrics/report.h"
+#include "src/runtime/report.h"
 
 namespace faasnap {
 
@@ -75,11 +75,8 @@ struct ExperimentCell {
   int64_t ok = 0;
   int64_t degraded = 0;
   int64_t failed = 0;
-  // Arrivals the admission layer rejected or deadline-dropped (scenarios with
-  // an "admission" block; both shed outcomes fold into one tally here).
-  int64_t shed = 0;
 
-  bool all_ok() const { return degraded == 0 && failed == 0 && shed == 0; }
+  bool all_ok() const { return degraded == 0 && failed == 0; }
 };
 
 struct ExperimentResults {

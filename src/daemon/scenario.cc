@@ -302,10 +302,9 @@ void ReadPlatform(FieldReader& in, uint64_t base_seed, PlatformConfig* out) {
   in.Pages("merge_gap_pages", &out->loading_set.merge_gap_pages);
   out->seed = base_seed;
 
-  // disk_queue_depth = 0 reverts to issue-time FIFO claiming (the
-  // pre-scheduler baseline); disk_max_merge_kib = 0 disables coalescing.
+  // disk_max_merge_kib = 0 disables coalescing.
   DiskSchedConfig& sched = out->disk.sched;
-  in.Int("disk_queue_depth", &sched.queue_depth);
+  in.Int("disk_queue_depth", &sched.queue_depth, 1);
   in.Int("disk_prefetch_slots", &sched.prefetch_slots, 1);
   in.Micros("prefetch_aging_us", &sched.prefetch_aging_bound);
   in.Bytes("disk_max_merge_kib", &sched.max_merge_bytes, kKiB);
@@ -520,9 +519,11 @@ Result<Scenario> ParseScenario(const JsonValue& root) {
   in.Int("base_seed", &s.base_seed);
   ReadPlatform(in, s.base_seed, &s.platform);
 
-  if (std::optional<FieldReader> admission = in.Object("admission")) {
-    s.admission_enabled = true;
-    admission->Bool("enabled", &s.admission_enabled);
+  // Only a cluster's hosts admit through an AdmissionController; every
+  // invocation of a restore-matrix cell runs.
+  if (!in.Has("cluster") && in.Has("admission")) {
+    in.Fail("admission", "is only supported in a cluster scenario");
+  } else if (std::optional<FieldReader> admission = in.Object("admission")) {
     admission->Int("max_concurrency", &s.admission.max_concurrency, 1);
     admission->Int("queue_capacity", &s.admission.queue_capacity, 0);
     admission->Micros("queue_deadline_us", &s.admission.queue_deadline);

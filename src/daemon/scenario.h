@@ -26,7 +26,7 @@
 //   "ws_group_size": 1024,                      // >= 1
 //   "merge_gap_pages": 32,
 //   "base_seed": 1,                             // platform seed (matrix: + 7919 per rep)
-//   "disk_queue_depth": 32,                     // 0 = legacy issue-time FIFO claiming
+//   "disk_queue_depth": 32,                     // device request slots; >= 1
 //   "disk_prefetch_slots": 8,                   // device slots prefetch may hold; >= 1
 //   "prefetch_aging_us": 2000,                  // queued-prefetch starvation bound
 //   "disk_max_merge_kib": 1024,                 // request coalescing cap; 0 disables
@@ -66,14 +66,6 @@
 //     "breaker_failure_threshold": 4,
 //     "breaker_open_for_us": 20000
 //   },
-//   "admission": {                              // matrix: every cell; cluster: every host
-//     "enabled": true,                          // default true when block present (matrix)
-//     "max_concurrency": 8,                     // in-flight invocation cap; >= 1
-//     "queue_capacity": 64,                     // waiters beyond this shed
-//     "queue_deadline_us": 500000,              // waiters older than this shed
-//     "memory_budget_mib": 0,                   // 0 disables memory admission
-//     "fairness_share": 0.0                     // per-function slot share; 0 off
-//   },
 //
 //   // Restore matrix.
 //   "systems": ["firecracker", "reap", "faasnap", "cached"],
@@ -108,7 +100,14 @@
 //   },
 //
 //   // Cluster scenario (a "sweep" and the observability outputs above are
-//   // InvalidArgument).
+//   // InvalidArgument; so is "admission" in a restore matrix).
+//   "admission": {                              // every host admits through it
+//     "max_concurrency": 8,                     // in-flight invocation cap; >= 1
+//     "queue_capacity": 64,                     // waiters beyond this shed
+//     "queue_deadline_us": 500000,              // waiters older than this shed
+//     "memory_budget_mib": 0,                   // 0 disables memory admission
+//     "fairness_share": 0.0                     // per-function slot share; 0 off
+//   },
 //   "cluster": {
 //     "hosts": 4,                               // >= 1
 //     "worker_threads": 2,                      // parallel shard workers; <= 1 = serial
@@ -190,11 +189,8 @@ struct Scenario {
   PlatformConfig platform;
   uint64_t base_seed = 1;
 
-  // "admission" block. In a restore matrix a cell's simultaneous requests pass
-  // through an AdmissionController when enabled, so overflow and
-  // deadline-expired waiters shed with typed outcomes (the cell's shed
-  // column); off by default. A cluster's hosts always admit through it.
-  bool admission_enabled = false;
+  // "admission" block: every host of a cluster admits through an
+  // AdmissionController configured by it. A restore matrix has none.
   AdmissionConfig admission;
 
   // Restore matrix.

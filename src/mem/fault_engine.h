@@ -190,7 +190,6 @@ class FaultEngine {
   void NoteBatchInstall(uint64_t pages);
 
   const FaultMetrics& metrics() const { return metrics_; }
-  FaultMetrics& mutable_metrics() { return metrics_; }
   const HostCostModel& costs() const { return costs_; }
   AddressSpace* address_space() { return space_; }
   PageCache* page_cache() { return cache_; }

@@ -44,19 +44,6 @@ Status NativeRegionMapper::MapFileRegion(const PageRange& guest, const NativeFil
   return OkStatus();
 }
 
-Status NativeRegionMapper::MapAnonymousRegion(const PageRange& guest) {
-  FAASNAP_CHECK(base_ != nullptr);
-  FAASNAP_CHECK(guest.end() <= pages_);
-  void* target = base_ + PagesToBytes(guest.first);
-  void* addr = ::mmap(target, PagesToBytes(guest.count), PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED | MAP_NORESERVE, -1, 0);
-  if (addr == MAP_FAILED) {
-    return IoError(std::string("mmap MAP_FIXED anonymous region: ") + std::strerror(errno));
-  }
-  ++mmap_calls_;
-  return OkStatus();
-}
-
 void* NativeRegionMapper::PageAddress(PageIndex page) const {
   FAASNAP_CHECK(base_ != nullptr && page < pages_);
   return base_ + PagesToBytes(page);

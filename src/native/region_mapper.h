@@ -34,9 +34,6 @@ class NativeRegionMapper {
   // content checks simple while exercising the same fault path).
   Status MapFileRegion(const PageRange& guest, const NativeFile& file, PageIndex file_start);
 
-  // Re-punches an anonymous MAP_FIXED hole over `guest` (zero regions).
-  Status MapAnonymousRegion(const PageRange& guest);
-
   // Pointer to guest page `page` within the mapping.
   void* PageAddress(PageIndex page) const;
   uint8_t* base() const { return base_; }

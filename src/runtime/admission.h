@@ -32,9 +32,9 @@
 #include <functional>
 #include <vector>
 
+#include "src/common/invocation_outcome.h"
 #include "src/common/sim_time.h"
 #include "src/common/units.h"
-#include "src/metrics/report.h"
 #include "src/sim/simulation.h"
 
 namespace faasnap {

@@ -128,10 +128,34 @@ void Platform::SetObservability(SpanTracer* spans, MetricsRegistry* metrics) {
   }
 }
 
-void Platform::CountOutcome(InvocationOutcome outcome) {
-  Counter* counter = outcome_counters_[static_cast<int>(outcome)];
+SpanId Platform::BeginInvoke(SimTime request_time, SimTime dispatched) {
+  if (forensics_ != nullptr) {
+    forensics_->OnInvokeBegin();
+  }
+  if (spans_ == nullptr) {
+    return kNoSpan;
+  }
+  const SpanId invoke_span = spans_->Begin(request_time, ObsLane::kDaemon, obsname::kInvoke);
+  spans_->Complete(request_time, dispatched, ObsLane::kDaemon, obsname::kDispatch, 0, 0,
+                   invoke_span);
+  return invoke_span;
+}
+
+void Platform::EndInvoke(SpanId invoke_span, SimTime request_time,
+                         const InvocationReport& report) {
+  Counter* counter = outcome_counters_[static_cast<int>(report.outcome)];
   if (counter != nullptr) {
     counter->Add();
+  }
+  if (spans_ != nullptr) {
+    spans_->End(invoke_span, sim_.now(), static_cast<uint64_t>(report.outcome));
+  }
+  if (forensics_ != nullptr) {
+    forensics_->OnInvokeEnd(invoke_span, report.outcome, report.function,
+                            sim_.now() - request_time);
+  }
+  if (timeline_ != nullptr) {
+    timeline_->Advance(sim_.now());
   }
 }
 
@@ -229,9 +253,9 @@ InvocationReport Platform::ReportShed(const FunctionSnapshot& snapshot,
                                       InvocationOutcome outcome, Status reason) {
   FAASNAP_CHECK(outcome == InvocationOutcome::kShedQueueFull ||
                 outcome == InvocationOutcome::kShedDeadline);
-  if (forensics_ != nullptr) {
-    forensics_->OnInvokeBegin();
-  }
+  // The dispatch child covers the full invoke window, so critical-path
+  // analysis attributes a shed arrival entirely to dispatch/queue time.
+  const SpanId invoke_span = BeginInvoke(arrival_time, sim_.now());
   InvocationReport report;
   report.function = snapshot.function;
   report.mode = std::string(RestoreModeName(requested_mode));
@@ -240,24 +264,11 @@ InvocationReport Platform::ReportShed(const FunctionSnapshot& snapshot,
   // The whole shed window is queueing: report it as setup so total_time() is
   // the arrival-to-drop latency the client observed.
   report.setup_time = sim_.now() - arrival_time;
-  CountOutcome(outcome);
-  SpanId invoke_span = kNoSpan;
   if (spans_ != nullptr) {
-    // The dispatch child covers the full invoke window, so critical-path
-    // analysis attributes a shed arrival entirely to dispatch/queue time.
-    invoke_span = spans_->Begin(arrival_time, ObsLane::kDaemon, obsname::kInvoke);
-    spans_->Complete(arrival_time, sim_.now(), ObsLane::kDaemon, obsname::kDispatch, 0, 0,
-                     invoke_span);
     spans_->Instant(sim_.now(), ObsLane::kDaemon, obsname::kShed,
                     static_cast<uint64_t>(outcome), 0, invoke_span);
-    spans_->End(invoke_span, sim_.now(), static_cast<uint64_t>(outcome));
   }
-  if (forensics_ != nullptr) {
-    forensics_->OnInvokeEnd(invoke_span, outcome, report.function, sim_.now() - arrival_time);
-  }
-  if (timeline_ != nullptr) {
-    timeline_->Advance(sim_.now());
-  }
+  EndInvoke(invoke_span, arrival_time, report);
   return report;
 }
 
@@ -271,9 +282,6 @@ void Platform::InvokeAsync(const FunctionSnapshot& snapshot, RestoreMode mode,
   Status demotion_reason;
   const Status plan_status = PlanRestoreMode(snapshot, mode, &effective, &demotion_reason);
 
-  if (forensics_ != nullptr) {
-    forensics_->OnInvokeBegin();
-  }
   const SimTime request_time = sim_.now();
   // Request dispatch serializes in the daemon: network namespace and tap device
   // creation take the kernel's rtnl mutex, so 64 simultaneous requests queue.
@@ -281,18 +289,15 @@ void Platform::InvokeAsync(const FunctionSnapshot& snapshot, RestoreMode mode,
   const SimTime dispatched =
       Max(sim_.now(), daemon_busy_until_) + config_.setup_costs.daemon_dispatch;
   daemon_busy_until_ = dispatched;
+  // Span skeleton for this invocation (see obs/observability.h for the tree).
+  // Recording is passive, so opening spans ahead of their wall time is fine.
+  const SpanId invoke_span = BeginInvoke(request_time, dispatched);
 
   if (!plan_status.ok()) {
     // Unrecoverable: the artifacts the mode needs are corrupt and there is no
     // intact fallback. Fail with a typed status instead of restoring from a bad
     // file. The request still pays daemon dispatch (validation runs in the
     // daemon), keeping serialization for overlapping invocations.
-    SpanId invoke_span = kNoSpan;
-    if (spans_ != nullptr) {
-      invoke_span = spans_->Begin(request_time, ObsLane::kDaemon, obsname::kInvoke);
-      spans_->Complete(request_time, dispatched, ObsLane::kDaemon, obsname::kDispatch, 0, 0,
-                       invoke_span);
-    }
     const FunctionSnapshot* snap = &snapshot;
     sim_.Schedule(dispatched, [this, snap, mode, request_time, invoke_span, plan_status,
                                done = std::move(done)]() mutable {
@@ -302,17 +307,7 @@ void Platform::InvokeAsync(const FunctionSnapshot& snapshot, RestoreMode mode,
       report.outcome = InvocationOutcome::kFailed;
       report.status = plan_status;
       report.setup_time = sim_.now() - request_time;
-      CountOutcome(report.outcome);
-      if (spans_ != nullptr) {
-        spans_->End(invoke_span, sim_.now(), static_cast<uint64_t>(report.outcome));
-      }
-      if (forensics_ != nullptr) {
-        forensics_->OnInvokeEnd(invoke_span, report.outcome, report.function,
-                                sim_.now() - request_time);
-      }
-      if (timeline_ != nullptr) {
-        timeline_->Advance(sim_.now());
-      }
+      EndInvoke(invoke_span, request_time, report);
       done(std::move(report));
     });
     return;
@@ -332,14 +327,8 @@ void Platform::InvokeAsync(const FunctionSnapshot& snapshot, RestoreMode mode,
   ctx->request_time = request_time;
   ctx->disk_before = CombinedDiskStats();
 
-  // Span skeleton for this invocation (see obs/observability.h for the tree).
-  // Recording is passive, so opening spans ahead of their wall time is fine.
-  SpanId invoke_span = kNoSpan;
   SpanId setup_span = kNoSpan;
   if (spans_ != nullptr) {
-    invoke_span = spans_->Begin(ctx->request_time, ObsLane::kDaemon, obsname::kInvoke);
-    spans_->Complete(ctx->request_time, dispatched, ObsLane::kDaemon, obsname::kDispatch, 0, 0,
-                     invoke_span);
     setup_span = spans_->Begin(dispatched, ObsLane::kDaemon, obsname::kSetup, 0, 0, invoke_span);
     ctx->loader.set_parent_span(invoke_span);
     ctx->env.setup_span = setup_span;
@@ -417,22 +406,14 @@ void Platform::InvokeAsync(const FunctionSnapshot& snapshot, RestoreMode mode,
           report.degraded_mode = "partial-prefetch";
           report.status = ctx->loader.status();
         }
-        CountOutcome(report.outcome);
         if (spans_ != nullptr) {
           if (report.outcome == InvocationOutcome::kDegraded) {
             spans_->Instant(sim_.now(), ObsLane::kDaemon, obsname::kDegraded, 0, 0, invoke_span);
           }
           spans_->End(invocation_span, sim_.now(),
                       static_cast<uint64_t>(result.elapsed.nanos()));
-          spans_->End(invoke_span, sim_.now(), static_cast<uint64_t>(report.outcome));
         }
-        if (forensics_ != nullptr) {
-          forensics_->OnInvokeEnd(invoke_span, report.outcome, report.function,
-                                  sim_.now() - ctx->request_time);
-        }
-        if (timeline_ != nullptr) {
-          timeline_->Advance(sim_.now());
-        }
+        EndInvoke(invoke_span, ctx->request_time, report);
         done(std::move(report));
       });
     });

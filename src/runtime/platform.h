@@ -22,9 +22,9 @@
 #include "src/chaos/fault_injector.h"
 #include "src/core/function_snapshot.h"
 #include "src/core/platform_config.h"
-#include "src/metrics/report.h"
 #include "src/obs/observability.h"
 #include "src/restore/restore_policy.h"
+#include "src/runtime/report.h"
 #include "src/sim/cpu_model.h"
 #include "src/sim/simulation.h"
 #include "src/storage/storage_router.h"
@@ -79,7 +79,6 @@ class Platform {
     int loader_depth_cap = 0;      // 0 = uncapped
   };
   void set_pressure_overrides(const PressureOverrides* pressure) { pressure_ = pressure; }
-  const PressureOverrides* pressure_overrides() const { return pressure_; }
 
   // echo 3 > drop_caches between tests (section 6.1).
   void DropCaches();
@@ -132,7 +131,14 @@ class Platform {
   // returns the validation error otherwise. `effective` is always set.
   Status PlanRestoreMode(const FunctionSnapshot& snapshot, RestoreMode requested,
                          RestoreMode* effective, Status* demotion_reason) const;
-  void CountOutcome(InvocationOutcome outcome);
+  // The head every invocation shares, shed or failed ones included: the
+  // flight recorder's in-flight count, then the invoke span from
+  // `request_time` with its dispatch child up to `dispatched`. Returns the
+  // invoke span (kNoSpan untraced).
+  SpanId BeginInvoke(SimTime request_time, SimTime dispatched);
+  // The matching tail, at now: the outcome counter, the invoke span's end, the
+  // flight recorder's retention decision and the timeline.
+  void EndInvoke(SpanId invoke_span, SimTime request_time, const InvocationReport& report);
 
   PlatformConfig config_;
   Simulation sim_;

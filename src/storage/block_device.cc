@@ -15,6 +15,7 @@ BlockDevice::BlockDevice(Simulation* sim, BlockDeviceProfile profile, uint64_t s
   FAASNAP_CHECK(sim_ != nullptr);
   FAASNAP_CHECK(profile_.bandwidth_bytes_per_s > 0);
   FAASNAP_CHECK(profile_.iops > 0);
+  FAASNAP_CHECK(profile_.sched.queue_depth >= 1);
 }
 
 void BlockDevice::CopyStateFrom(const BlockDevice& source) {
@@ -118,14 +119,6 @@ void BlockDevice::Enqueue(Request request) {
   if (queue_depth_metric_ != nullptr) {
     queue_depth_metric_->Set(static_cast<double>(outstanding_));
   }
-  const uint32_t depth = profile_.sched.queue_depth;
-  if (depth == 0) {
-    // Scheduler disabled: issue-time serializer claiming in FIFO order.
-    std::vector<Request> single;
-    single.push_back(std::move(request));
-    Dispatch(std::move(single));
-    return;
-  }
   // Queue, then drain: with free slots and nothing else waiting this dispatches
   // immediately at the same timestamp, so an uncontended load claims the
   // serializers in arrival order exactly like the issue-time model.
@@ -136,8 +129,10 @@ void BlockDevice::Enqueue(Request request) {
 
 void BlockDevice::TryDispatch() {
   const DiskSchedConfig& sched = profile_.sched;
-  const int prefetch_cap = std::max(1, static_cast<int>(sched.prefetch_slots));
-  while (in_service_ < static_cast<int>(sched.queue_depth)) {
+  // Both knobs are compared as uint32_t: any value means what DiskSchedConfig
+  // says, 2^31 and above included.
+  const uint32_t prefetch_cap = std::max<uint32_t>(1, sched.prefetch_slots);
+  while (in_service_ < sched.queue_depth) {
     const bool can_demand = !queue_[0].empty();
     const bool can_prefetch =
         !queue_[1].empty() && in_service_batches_[1] < prefetch_cap;

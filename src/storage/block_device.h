@@ -36,8 +36,8 @@
 // With the default queue depth the serializers never idle while work is queued,
 // so an uncontended single-class load completes at exactly the same times as
 // the old issue-time model; only the interleaving under cross-class contention
-// changes. `queue_depth = 0` disables the scheduler entirely (issue-time FIFO
-// claiming), which is the A/B baseline the scheduler benchmarks compare against.
+// changes. BENCH_scheduler.json records the measured A/B against that retired
+// FIFO model.
 //
 // Optional multiplicative jitter (deterministic, seeded) produces the run-to-run
 // variance reported as error bars in the figures.
@@ -68,10 +68,8 @@ class FaultInjector;
 // Scheduler knobs. Defaults keep uncontended completion times identical to the
 // legacy issue-time model while letting demand jump prefetch under contention.
 struct DiskSchedConfig {
-  // Device requests allowed to hold serializer claims concurrently. Queued
-  // requests dispatch as slots free up, demand first. 0 disables the scheduler:
-  // every read claims the serializers at issue time in FIFO order (the
-  // pre-scheduler baseline, kept for A/B benchmarks).
+  // Device requests allowed to hold serializer claims concurrently; >= 1.
+  // Queued requests dispatch as slots free up, demand first.
   uint32_t queue_depth = 32;
   // Of those slots, at most this many may hold prefetch batches (clamped to
   // >= 1; >= queue_depth disables the cap). Dispatched batches have already
@@ -148,7 +146,8 @@ struct DeviceReadOptions {
 
 class BlockDevice {
  public:
-  // `sim` must outlive the device. `seed` drives latency jitter only.
+  // `sim` must outlive the device. `seed` drives latency jitter only. The
+  // profile's queue depth must be >= 1.
   BlockDevice(Simulation* sim, BlockDeviceProfile profile, uint64_t seed = 1);
 
   // Issues an asynchronous read of `bytes` at `offset` (offset is for accounting
@@ -251,9 +250,9 @@ class BlockDevice {
   BlockDeviceStats stats_;
 
   std::deque<Request> queue_[kReadClassCount];
-  int in_service_ = 0;                            // device requests holding a slot
+  uint32_t in_service_ = 0;                       // device requests holding a slot
   int in_service_reqs_[kReadClassCount] = {0, 0}; // caller requests in service, by class
-  int in_service_batches_[kReadClassCount] = {0, 0}; // device requests (slots), by class
+  uint32_t in_service_batches_[kReadClassCount] = {0, 0}; // device requests (slots), by class
   bool demand_owed_ = false;                      // last contested slot went to aged prefetch
   int outstanding_ = 0;                           // caller requests accepted, not completed
 

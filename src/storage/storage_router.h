@@ -120,7 +120,6 @@ class StorageRouter {
   // Copy under the lock: cheap POD, safe for before/after deltas while reads
   // are still settling.
   StorageFaultStats fault_stats() const FAASNAP_EXCLUDES(mu_);
-  const StorageFaultPolicy& fault_policy() const { return policy_; }
 
   // Attaches tracing/metrics to every registered device (and, via
   // routed-read counters, to the router itself). Call after AddDevice and

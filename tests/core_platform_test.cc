@@ -239,6 +239,13 @@ TEST_F(EndToEndTest, HelloWorldWarmIsAboutFourMilliseconds) {
   EXPECT_GT(warm.invocation_time.millis(), 3.0);
 }
 
+TEST(InvocationReport, TotalIsSetupPlusInvocation) {
+  InvocationReport r;
+  r.setup_time = Duration::Millis(45);
+  r.invocation_time = Duration::Millis(55);
+  EXPECT_EQ(r.total_time(), Duration::Millis(100));
+}
+
 TEST_F(EndToEndTest, ReportFieldsArePopulated) {
   InvocationReport r = Run("json", RestoreMode::kFaasnap);
   EXPECT_EQ(r.function, "json");

@@ -91,6 +91,8 @@ TEST(Scenario, RejectsHostileValues) {
       {"host_cores", R"({"functions": ["json"], "host_cores": 0})"},
       {"ws_group_size", R"({"functions": ["json"], "ws_group_size": 0})"},
       {"prefetch_aging_us", R"({"functions": ["json"], "prefetch_aging_us": 10000000000000000})"},
+      {"disk_queue_depth", R"({"functions": ["json"], "disk_queue_depth": 0})"},
+      {"disk_queue_depth", R"({"functions": ["json"], "disk_queue_depth": 4294967296})"},
       {"vcpus", R"({"functions": ["json"], "vcpus": 0})"},
       {"vcpus", R"({"functions": ["json"], "vcpus": -1})"},
       {"vcpus", R"({"functions": ["json"], "vcpus": 33})"},
@@ -123,6 +125,9 @@ TEST(Scenario, RejectsHostileValues) {
        R"({"functions": ["json"], "cluster": {"host": {"warm_pool_budget_mib": 0}}})"},
       {"admission.max_concurrency",
        R"({"functions": ["json"], "admission": {"max_concurrency": 0}, "cluster": {}})"},
+      // Only a cluster's hosts admit; a restore matrix runs every invocation.
+      {"admission", R"({"functions": ["json"], "admission": {"max_concurrency": 2}})"},
+      {"admission", R"({"functions": ["json"], "admission": {}})"},
       {"sweep", R"({"functions": ["json"], "sweep": [{"ws_group_size": [64]}]})"},
       {"sweep", R"({"functions": ["json"], "sweep": {}})"},
       {"sweep",
@@ -164,7 +169,9 @@ TEST(Scenario, RejectsHostileValues) {
        R"({"functions": ["json"], "placement": {"loading_sets": "remote"}})"},
       {"chaos.read_error", R"({"functions": ["json"], "chaos": {"read_error": 0.1}})"},
       {"admission.max_inflight",
-       R"({"functions": ["json"], "admission": {"max_inflight": 2}})"},
+       R"({"functions": ["json"], "admission": {"max_inflight": 2}, "cluster": {}})"},
+      {"admission.enabled",
+       R"({"functions": ["json"], "admission": {"enabled": false}, "cluster": {}})"},
       {"forensics.slowest", R"({"functions": ["json"], "forensics": {"slowest": 4}})"},
       {"cluster.host_count", R"({"functions": ["json"], "cluster": {"host_count": 3}})"},
       {"cluster.router.polcy",
@@ -364,32 +371,41 @@ TEST(ExperimentRunner, BurstConfigAggregatesPerInvocation) {
   EXPECT_EQ(results->cells[0].total_ms.count(), 4);  // one sample per burst member
 }
 
-TEST(ExperimentRunner, AdmissionBurstShedsTypedOutcomes) {
-  // An 8-wide burst through a 1-slot admission controller with a 1-deep queue
-  // and a microsecond deadline: one runs, one queues and expires, six find the
-  // queue full. Sheds land in the cell and in both renderings.
+TEST(ExperimentRunner, ChaosOutcomesLandInTheCellAndBothRenderings) {
+  // Half the snapshot files are born corrupt: both FaaSnap invocations
+  // degrade, and both REAP invocations complete ok. The tallies land in the
+  // cells, the table gains its outcome column on every row, and the JSON
+  // carries the tallies of the cell that was not all ok.
   Result<Scenario> config = Parse(R"({
-    "functions": ["json"],
-    "systems": ["faasnap"],
+    "functions": ["hello-world"],
+    "systems": ["faasnap", "reap"],
     "test_inputs": ["A"],
-    "reps": 1,
-    "parallelism": [8],
-    "admission": {
-      "max_concurrency": 1,
-      "queue_capacity": 1,
-      "queue_deadline_us": 10
-    }
+    "reps": 2,
+    "chaos": {"seed": 3, "corrupt_file_rate": 0.5}
   })");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
-  EXPECT_TRUE(config->admission_enabled);
   Result<ExperimentResults> results = RunExperiment(*config);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
-  ASSERT_EQ(results->cells.size(), 1u);
-  const ExperimentCell& cell = results->cells[0];
-  EXPECT_EQ(cell.shed, 7);
-  EXPECT_EQ(cell.total_ms.count(), 1);  // only the admitted member reports latency
-  EXPECT_NE(results->ToTable().find("ok/deg/fail/shed"), std::string::npos);
-  EXPECT_NE(results->ToJson().find("\"shed\":7"), std::string::npos);
+  ASSERT_EQ(results->cells.size(), 2u);
+  const ExperimentCell& faasnap = results->cells[0];
+  const ExperimentCell& reap = results->cells[1];
+  EXPECT_EQ(faasnap.system, "faasnap");
+  EXPECT_EQ(std::vector<int64_t>({faasnap.ok, faasnap.degraded, faasnap.failed}),
+            std::vector<int64_t>({0, 2, 0}));
+  EXPECT_EQ(std::vector<int64_t>({reap.ok, reap.degraded, reap.failed}),
+            std::vector<int64_t>({2, 0, 0}));
+  EXPECT_FALSE(faasnap.all_ok());
+  EXPECT_TRUE(reap.all_ok());
+  EXPECT_EQ(faasnap.total_ms.count(), 2);  // a degraded invocation still reports its times
+
+  const std::string table = results->ToTable();
+  EXPECT_NE(table.find("ok/deg/fail\n"), std::string::npos) << table;
+  EXPECT_NE(table.find("0/2/0\n"), std::string::npos) << table;
+  EXPECT_NE(table.find("2/0/0\n"), std::string::npos) << table;
+  const std::string json = results->ToJson();
+  EXPECT_NE(json.find(R"("ok":0,"degraded":2,"failed":0,"reps":2})"), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find(R"("ok":)"), json.rfind(R"("ok":)")) << json;  // the faasnap cell only
 }
 
 TEST(ExperimentRunner, ClusterScenarioRejectsObservabilityOutputs) {

@@ -100,6 +100,14 @@ TEST_F(BlockDeviceTest, EstimateMatchesActual) {
   EXPECT_EQ(estimate, actual);
 }
 
+TEST(BlockDeviceDeathTest, ZeroQueueDepthAborts) {
+  // Every read goes through the scheduler, which needs at least one slot.
+  Simulation sim;
+  BlockDeviceProfile profile = TestDiskProfile();
+  profile.sched.queue_depth = 0;
+  EXPECT_DEATH({ BlockDevice disk(&sim, profile); }, "FAASNAP_CHECK");
+}
+
 TEST(BlockDeviceProfiles, NvmeIsFasterThanEbsEverywhere) {
   Simulation sim;
   BlockDevice nvme(&sim, NvmeSsdProfile());

@@ -294,32 +294,6 @@ TEST(DiskScheduler, ResetStatsMidFlightKeepsLiveStateConsistent) {
   EXPECT_EQ(disk.stats().bytes_read, kPageSize);
 }
 
-TEST(DiskScheduler, FifoModeMatchesLegacyIssueTimeClaiming) {
-  // queue_depth = 0 is the pre-scheduler baseline: issue-time FIFO claiming.
-  // The IOPS-saturation shape must hold exactly, and no scheduling features
-  // (priority, merging) may engage.
-  Simulation sim;
-  BlockDeviceProfile profile = TestDiskProfile();
-  profile.sched.queue_depth = 0;
-  BlockDevice disk(&sim, profile);
-  int completed = 0;
-  SimTime last;
-  for (int i = 0; i < 1000; ++i) {
-    disk.Read(static_cast<uint64_t>(i) * kPageSize, kPageSize,
-              i % 2 == 0 ? Demand() : Prefetch(), [&](Status) {
-                ++completed;
-                last = sim.now();
-              });
-  }
-  sim.Run();
-  EXPECT_EQ(completed, 1000);
-  EXPECT_EQ(last.nanos(), 1000 * 4096 + 50000);
-  EXPECT_EQ(disk.stats().merged_requests, 0u);
-  EXPECT_EQ(disk.stats().aged_promotions, 0u);
-  EXPECT_EQ(disk.stats().demand_requests, 500u);
-  EXPECT_EQ(disk.stats().prefetch_requests, 500u);
-}
-
 TEST(DiskScheduler, SchedulerModeKeepsUncontendedCompletionTimesExact) {
   // With the default queue depth, an uncontended single-class load lands on the
   // same serializer timeline as issue-time claiming: the scheduler only
@@ -333,6 +307,38 @@ TEST(DiskScheduler, SchedulerModeKeepsUncontendedCompletionTimesExact) {
   }
   sim.Run();
   EXPECT_EQ(last.nanos(), 1000 * 4096 + 50000);
+}
+
+TEST(DiskScheduler, KnobsAtUint32MaxMeanWhatTheySay) {
+  // Every uint32_t depth is a depth and every slot count a slot count: at
+  // UINT32_MAX, reads dispatch on arrival and prefetch_slots >= queue_depth
+  // leaves prefetch uncapped.
+  Simulation sim;
+  BlockDeviceProfile profile = TestDiskProfile();
+  profile.sched.queue_depth = UINT32_MAX;
+  profile.sched.prefetch_slots = UINT32_MAX;
+  profile.sched.max_merge_bytes = ByteCount::Zero();  // one device request per read
+  BlockDevice disk(&sim, profile);
+  constexpr int kPrefetchReads = 12;  // above the default 8 prefetch slots
+  int done = 0;
+  for (int i = 0; i < kPrefetchReads; ++i) {
+    disk.Read(static_cast<uint64_t>(i) * MiB(8).value(), KiB(256).value(), Prefetch(),
+              [&](Status s) {
+                EXPECT_TRUE(s.ok());
+                ++done;
+              });
+  }
+  disk.Read(MiB(128).value(), kPageSize, Demand(), [&](Status s) {
+    EXPECT_TRUE(s.ok());
+    ++done;
+  });
+  EXPECT_EQ(disk.in_service(ReadClass::kPrefetch), kPrefetchReads);
+  EXPECT_EQ(disk.in_service(ReadClass::kDemand), 1);
+  EXPECT_EQ(disk.queued(ReadClass::kPrefetch), 0);
+  EXPECT_EQ(disk.queued(ReadClass::kDemand), 0);
+  sim.Run();
+  EXPECT_EQ(done, kPrefetchReads + 1);
+  EXPECT_EQ(disk.stats().read_requests, static_cast<uint64_t>(kPrefetchReads + 1));
 }
 
 TEST(DiskScheduler, PerClassWaitTotalsAccumulate) {
